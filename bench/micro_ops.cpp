@@ -1,16 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the primitive operations the
 // simulator models: crypto, counter generation, node codecs, cache access.
 //
-// The crypto benchmarks run once per *available* backend (ref / ttable /
-// hw), pinned per-instance so one process measures every pair. Two modes:
+// The AES benchmarks run once per *available* backend (ref / ttable / hw),
+// pinned per-instance so one process measures every pair. Two modes:
 //
 //   micro_ops [--crypto-backend B] [gbench flags]
-//       full google-benchmark suite (crypto benches per backend)
+//       full google-benchmark suite (AES benches per backend)
 //   micro_ops --json FILE
-//       deterministic per-backend throughput measurement of the four crypto
-//       hot paths, written as JSON — the recorded bench trajectory
-//       (BENCH_micro.json at the repo root). Also prints a summary table
-//       with the hw/ttable speedups the README perf table quotes.
+//       deterministic throughput measurement of the crypto hot paths — the
+//       AES block and the 64 B OTP pad per backend, and the SipHash data
+//       MAC, which no backend changes — written as JSON: the recorded bench
+//       trajectory (BENCH_micro.json at the repo root). Also prints a
+//       summary table with the hw/ttable pad speedup the README quotes.
 //
 // Either mode cross-verifies all backends via crypto_self_check() first, so
 // a perf number can never be recorded for a backend that miscomputes.
@@ -26,9 +27,8 @@
 #include "cache/cache.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/backend.hpp"
-#include "crypto/hmac.hpp"
+#include "crypto/mac.hpp"
 #include "crypto/otp.hpp"
-#include "crypto/sha256.hpp"
 #include "crypto/siphash.hpp"
 #include "sit/counter_block.hpp"
 #include "sit/node.hpp"
@@ -67,27 +67,8 @@ void BM_AesEncrypt4(benchmark::State& state, CryptoBackend b) {
   }
 }
 
-void BM_Sha256Block(benchmark::State& state, CryptoBackend b) {
-  std::uint8_t data[64] = {};
-  for (auto _ : state) {
-    Sha256 h(b);
-    h.update(data);
-    auto d = h.finalize();
-    benchmark::DoNotOptimize(d);
-  }
-}
-
-void BM_HmacSha256Tag64(benchmark::State& state, CryptoBackend b) {
-  const std::uint8_t key[16] = {9};
-  HmacSha256 mac({key, 16}, b);
-  std::uint8_t data[72] = {};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mac.tag64(data));
-  }
-}
-
-void BM_OtpPadReal(benchmark::State& state, CryptoBackend b) {
-  OtpEngine otp(CryptoProfile::kReal, 7, PadDomain::kV2, b);
+void BM_OtpPad(benchmark::State& state, CryptoBackend b) {
+  OtpEngine otp(7, b);
   Addr a = 0;
   std::uint64_t c = 0;
   for (auto _ : state) {
@@ -100,23 +81,12 @@ void register_crypto_benches() {
     const std::string suffix = std::string("/") + backend_name(b);
     benchmark::RegisterBenchmark(("BM_AesEncryptBlock" + suffix).c_str(), BM_AesEncryptBlock, b);
     benchmark::RegisterBenchmark(("BM_AesEncrypt4" + suffix).c_str(), BM_AesEncrypt4, b);
-    benchmark::RegisterBenchmark(("BM_Sha256Block" + suffix).c_str(), BM_Sha256Block, b);
-    benchmark::RegisterBenchmark(("BM_HmacSha256Tag64" + suffix).c_str(), BM_HmacSha256Tag64, b);
-    benchmark::RegisterBenchmark(("BM_OtpPadReal" + suffix).c_str(), BM_OtpPadReal, b);
+    benchmark::RegisterBenchmark(("BM_OtpPad" + suffix).c_str(), BM_OtpPad, b);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Non-crypto benches (backend-independent), unchanged from the original set.
-
-void BM_OtpPadFast(benchmark::State& state) {
-  OtpEngine otp(CryptoProfile::kFast, 7);
-  Addr a = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(otp.pad(a += 64, 5));
-  }
-}
-BENCHMARK(BM_OtpPadFast);
 
 void BM_SipHashNodePayload(benchmark::State& state) {
   SipHash24 sip(SipHash24::Key{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16});
@@ -202,12 +172,10 @@ struct BackendResults {
   CryptoBackend backend;
   double aes_block_ns;
   double otp_pad_ns;
-  double sha256_block_ns;
-  double hmac_tag64_ns;
 };
 
 BackendResults measure_backend(CryptoBackend b) {
-  BackendResults r{b, 0, 0, 0, 0};
+  BackendResults r{b, 0, 0};
 
   Aes128 aes(kBenchKey, b);
   r.aes_block_ns = measure_ns_per_op([&](std::uint64_t n) {
@@ -218,7 +186,7 @@ BackendResults measure_backend(CryptoBackend b) {
     }
   });
 
-  OtpEngine otp(CryptoProfile::kReal, 7, PadDomain::kV2, b);
+  OtpEngine otp(7, b);
   r.otp_pad_ns = measure_ns_per_op([&](std::uint64_t n) {
     Addr a = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -226,27 +194,20 @@ BackendResults measure_backend(CryptoBackend b) {
     }
   });
 
-  r.sha256_block_ns = measure_ns_per_op([&](std::uint64_t n) {
-    std::uint8_t data[64] = {};
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Sha256 h(b);
-      h.update(data);
-      auto d = h.finalize();
-      benchmark::DoNotOptimize(d);
-    }
-  });
-
-  const std::uint8_t key[16] = {9};
-  HmacSha256 mac({key, 16}, b);
-  r.hmac_tag64_ns = measure_ns_per_op([&](std::uint64_t n) {
-    std::uint8_t data[72] = {};
-    for (std::uint64_t i = 0; i < n; ++i) {
-      data[0] = static_cast<std::uint8_t>(i);
-      benchmark::DoNotOptimize(mac.tag64(data));
-    }
-  });
-
   return r;
+}
+
+/// SipHash-2-4 data MAC over (ciphertext, address, counter, aux): the same
+/// function on every backend.
+double measure_data_mac_ns() {
+  const MacEngine mac(7);
+  return measure_ns_per_op([&](std::uint64_t n) {
+    Block ct{};
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ct[0] = static_cast<std::uint8_t>(i);
+      benchmark::DoNotOptimize(mac.data_mac(ct, i * 64, i));
+    }
+  });
 }
 
 double mops(double ns_per_op) { return ns_per_op > 0 ? 1e3 / ns_per_op : 0.0; }
@@ -267,17 +228,18 @@ int run_json_mode(const std::string& path) {
     if (r.backend == CryptoBackend::kHw) hw = &r;
   }
 
-  std::printf("\n%-8s %14s %14s %14s %14s\n", "backend", "aes_block", "otp_pad(64B)",
-              "sha256_blk", "hmac_tag64");
+  const double data_mac_ns = measure_data_mac_ns();
+
+  std::printf("\n%-8s %14s %14s\n", "backend", "aes_block", "otp_pad(64B)");
   for (const auto& r : results) {
-    std::printf("%-8s %11.1f ns %11.1f ns %11.1f ns %11.1f ns\n", backend_name(r.backend),
-                r.aes_block_ns, r.otp_pad_ns, r.sha256_block_ns, r.hmac_tag64_ns);
+    std::printf("%-8s %11.1f ns %11.1f ns\n", backend_name(r.backend), r.aes_block_ns,
+                r.otp_pad_ns);
   }
-  double pad_speedup = 0.0, tag_speedup = 0.0;
+  std::printf("SipHash data MAC (every backend): %.1f ns\n", data_mac_ns);
+  double pad_speedup = 0.0;
   if (ttable != nullptr && hw != nullptr) {
     pad_speedup = ttable->otp_pad_ns / hw->otp_pad_ns;
-    tag_speedup = ttable->hmac_tag64_ns / hw->hmac_tag64_ns;
-    std::printf("\nhw over ttable: otp_pad %.2fx, hmac_tag64 %.2fx\n", pad_speedup, tag_speedup);
+    std::printf("\nhw over ttable: otp_pad %.2fx\n", pad_speedup);
   } else {
     std::printf("\nhw backend unavailable on this machine; no speedup recorded\n");
   }
@@ -287,26 +249,23 @@ int run_json_mode(const std::string& path) {
     std::fprintf(stderr, "cannot open JSON output %s\n", path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"micro_ops\",\n  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"cpu\": {\"aesni\": %s, \"shani\": %s},\n",
-               cpu_has_aesni() ? "true" : "false", cpu_has_shani() ? "true" : "false");
+  std::fprintf(f, "{\n  \"bench\": \"micro_ops\",\n  \"schema_version\": 2,\n");
+  std::fprintf(f, "  \"cpu\": {\"aesni\": %s},\n", cpu_has_aesni() ? "true" : "false");
   std::fprintf(f, "  \"units\": {\"latency\": \"ns_per_op\", \"throughput\": \"mops\"},\n");
   std::fprintf(f, "  \"backends\": {\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     std::fprintf(f,
                  "    \"%s\": {\"aes_block_ns\": %.2f, \"otp_pad_ns\": %.2f, "
-                 "\"otp_pad_mops\": %.2f, \"sha256_block_ns\": %.2f, "
-                 "\"hmac_tag64_ns\": %.2f, \"hmac_tag64_mops\": %.2f}%s\n",
+                 "\"otp_pad_mops\": %.2f}%s\n",
                  backend_name(r.backend), r.aes_block_ns, r.otp_pad_ns, mops(r.otp_pad_ns),
-                 r.sha256_block_ns, r.hmac_tag64_ns, mops(r.hmac_tag64_ns),
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  },\n");
+  std::fprintf(f, "  \"data_mac_ns\": %.2f, \"data_mac_mops\": %.2f,\n", data_mac_ns,
+               mops(data_mac_ns));
   if (ttable != nullptr && hw != nullptr) {
-    std::fprintf(f,
-                 "  \"speedup_hw_over_ttable\": {\"otp_pad\": %.2f, \"hmac_tag64\": %.2f},\n",
-                 pad_speedup, tag_speedup);
+    std::fprintf(f, "  \"speedup_hw_over_ttable\": {\"otp_pad\": %.2f},\n", pad_speedup);
   } else {
     std::fprintf(f, "  \"speedup_hw_over_ttable\": null,\n");
   }

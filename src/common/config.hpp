@@ -16,11 +16,12 @@ namespace steins {
 /// SC = split counter block (64-bit major + 64 x 6-bit minors, covers 64).
 enum class CounterMode { kGeneral, kSplit };
 
-/// Functional crypto profile. kReal runs AES-128 CTR for OTPs and
-/// HMAC-SHA256 (truncated to 64 bits) for MACs; kFast substitutes
-/// SipHash-2-4 MACs and a SipHash-derived OTP with identical control flow
-/// and traffic, for fast figure benches. Timing is modeled identically.
-enum class CryptoProfile { kReal, kFast };
+/// Every System runs one functional crypto pipeline: AES-128 CTR pads
+/// (crypto/otp.hpp) and SipHash-2-4 MACs (crypto/mac.hpp); crypto latency
+/// is modeled from operation counts. This empty tag selects nothing. It
+/// remains as SystemConfig::crypto only because the repository benchmark
+/// (perfbench/src/main.cpp) still passes it to CmeEngine.
+struct CryptoPipeline {};
 
 /// SIT update policy (paper §II-C). The paper's schemes use lazy updates;
 /// eager is kept for the ablation bench.
@@ -105,7 +106,7 @@ struct SystemConfig {
   NvmConfig nvm;
   SecureConfig secure;
   CounterMode counter_mode = CounterMode::kGeneral;
-  CryptoProfile crypto = CryptoProfile::kFast;
+  CryptoPipeline crypto;  // empty tag; see CryptoPipeline
   UpdatePolicy update_policy = UpdatePolicy::kLazy;
 
   /// Convert nanoseconds to CPU cycles (rounded up; latencies never round

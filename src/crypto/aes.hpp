@@ -10,7 +10,8 @@
 //    secure-NVM designs assume;
 //  - `ttable`: 4 constexpr-generated 1 KB lookup tables fold
 //    SubBytes+ShiftRows+MixColumns into 16 table lookups + XORs per round
-//    (Rijndael's 32-bit software formulation) — the portable fast path;
+//    (Rijndael's 32-bit software formulation) — the portable fast path; the
+//    4-block CTR kernel runs each round across all four lanes;
 //  - `ref`: the byte-wise FIPS-197 reference path (`encrypt_block_ref` /
 //    `decrypt_block_ref`), kept for verification; tests cross-check every
 //    backend pair on the NIST vectors and randomized blocks. Define
@@ -59,10 +60,12 @@ class Aes128 {
   /// Encrypt one 16-byte block in place.
   void encrypt_block(std::uint8_t* block) const;
 
-  /// Encrypt 4 contiguous 16-byte blocks in place. The hw backend runs the
-  /// 4-lane pipelined AES-NI kernel (one `aesenc` per lane per round,
-  /// interleaved to hide instruction latency); software backends loop over
-  /// encrypt_block. This is the OTP CTR hot path.
+  /// Encrypt 4 contiguous 16-byte blocks in place, dispatching on the
+  /// backend once per call. The hw backend runs the 4-lane pipelined AES-NI
+  /// kernel (one `aesenc` per lane per round, interleaved to hide
+  /// instruction latency); ttable interleaves the four lanes per round the
+  /// same way; ref loops over the byte-wise path. This is the OTP CTR hot
+  /// path.
   void encrypt4(std::uint8_t* blocks) const;
 
   /// Decrypt one 16-byte block in place.
@@ -93,6 +96,7 @@ class Aes128 {
   void expand_key(const Key& key);
 
   void encrypt_block_ttable(std::uint8_t* block) const;
+  void encrypt4_ttable(std::uint8_t* blocks) const;
   void decrypt_block_ttable(std::uint8_t* block) const;
 
   // nullopt = follow the process-wide registry at call time.

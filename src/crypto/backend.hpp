@@ -1,18 +1,20 @@
 // Runtime-dispatched crypto backend registry.
 //
-// Three backends compute the same primitives with different machinery:
+// Three backends compute AES-128, the OTP pad cipher, with different
+// machinery:
 //
-//   kRef     byte-wise FIPS-197 AES + scalar SHA-256 (verification baseline)
-//   kTtable  constexpr T-table AES + scalar SHA-256 (portable fast path)
-//   kHw      AES-NI 4-lane pipelined CTR + SHA-NI compress (hardware path,
-//            CPUID-gated; models the controller-resident AES/SHA engines
-//            that secure-NVM proposals assume)
+//   kRef     byte-wise FIPS-197 AES (verification baseline)
+//   kTtable  constexpr T-table AES, four pad lanes interleaved per round
+//            (portable fast path)
+//   kHw      AES-NI 4-lane pipelined CTR (hardware path, CPUID-gated;
+//            models the controller-resident AES engine that secure-NVM
+//            proposals assume)
 //
 // All three are bit-identical by construction: they implement the same
-// FIPS-197 / FIPS 180-4 functions, so switching backends never changes a
-// ciphertext, pad, or tag — only host wall-clock. `crypto_self_check()`
-// cross-verifies every available backend on known-answer vectors and random
-// inputs; tools call it at startup.
+// FIPS-197 function, so switching backends never changes a ciphertext or
+// pad — only host wall-clock. MACs are SipHash-2-4 on every backend.
+// `crypto_self_check()` cross-verifies every available backend on
+// known-answer vectors and random pads; tools call it at startup.
 //
 // Selection order (first match wins):
 //   1. an explicit `set_crypto_backend()` call (the `--crypto-backend` flag)
@@ -40,14 +42,12 @@ const char* backend_name(CryptoBackend backend);
 /// return nullopt (callers treat "auto" as "clear the override").
 std::optional<CryptoBackend> parse_backend(std::string_view name);
 
-/// CPUID feature probes (false on non-x86 builds).
+/// CPUID feature probe (false on non-x86 builds).
 bool cpu_has_aesni();
-bool cpu_has_shani();
 
-/// True when the AES-NI / SHA-NI translation units were compiled with ISA
-/// support AND the CPU reports the feature.
+/// True when the AES-NI translation unit was compiled with ISA support AND
+/// the CPU reports the feature.
 bool aes_hw_available();
-bool sha_hw_available();
 
 /// The backend the process is currently dispatching to. Resolved lazily
 /// from the selection order above; always an *available* backend.
@@ -58,14 +58,9 @@ CryptoBackend active_backend();
 /// backend actually activated.
 CryptoBackend set_crypto_backend(CryptoBackend backend);
 
-/// True when SHA-256 should use the SHA-NI compress: the hw backend is
-/// active and the CPU has the extension. (AES-NI-only machines run the hw
-/// backend with hardware AES and scalar SHA.)
-bool sha_hw_active();
-
-/// Cross-verify every available backend at startup: FIPS-197 / SP800-38A
-/// AES vectors, the RFC 4231 HMAC case, and pad/tag cross-equality between
-/// backends. Returns false and fills `detail` on any mismatch.
+/// Cross-verify every available backend at startup: the FIPS-197 AES
+/// vector in both directions, and OTP pad equality between backends.
+/// Returns false and fills `detail` on any mismatch.
 bool crypto_self_check(std::string* detail = nullptr);
 
 /// RAII backend override for tests and per-backend benchmarks.

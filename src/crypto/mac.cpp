@@ -6,39 +6,29 @@
 
 namespace steins::crypto {
 
-MacEngine::MacEngine(CryptoProfile profile, std::uint64_t key_seed,
-                     std::optional<CryptoBackend> backend)
-    : profile_(profile) {
-  constexpr std::uint64_t kMacDomain = 0x4d41435f4b455931ULL;  // "MAC_KEY1"
-  std::uint8_t key[16];
-  std::memcpy(key, &key_seed, 8);
-  std::memcpy(key + 8, &kMacDomain, 8);
-  if (profile_ == CryptoProfile::kReal) {
-    hmac_ = std::make_unique<HmacSha256>(std::span<const std::uint8_t>{key, 16}, backend);
-  } else {
-    SipHash24::Key k{};
-    std::memcpy(k.data(), key, 16);
-    sip_ = std::make_unique<SipHash24>(k);
-  }
+namespace {
+
+SipHash24::Key mac_key(std::uint64_t seed) {
+  SipHash24::Key k{};
+  std::memcpy(k.data(), &seed, 8);
+  std::memcpy(k.data() + 8, &MacEngine::kKeyDomain, 8);
+  return k;
 }
 
-std::uint64_t MacEngine::mac64(std::span<const std::uint8_t> data) const {
-  if (profile_ == CryptoProfile::kReal) return hmac_->tag64(data);
-  return sip_->hash(data);
-}
+}  // namespace
 
-// MAC input assembly is allocation-free by design: both composite MACs
-// build their message in a fixed stack buffer sized for the worst case.
-// Keep it that way — these run once per simulated memory access.
+MacEngine::MacEngine(std::uint64_t key_seed) : sip_(mac_key(key_seed)) {}
 
+// MAC input assembly is allocation-free by design: node payloads that are a
+// multiple of 8 bytes stream straight into SipHash; any other length stages
+// the message in a fixed stack buffer. Keep it that way — these run once
+// per simulated memory access.
 std::uint64_t MacEngine::node_mac(std::span<const std::uint8_t> payload, Addr node_addr,
                                   std::uint64_t parent_counter) const {
   const std::size_t n = payload.size();
-  if (profile_ != CryptoProfile::kReal && (n % 8) == 0) {
-    // SipHash can stream the 8-aligned payload and trailing words directly
-    // — same message bytes, same tag, no staging copy.
+  if ((n % 8) == 0) {
     const std::uint64_t words[2] = {node_addr, parent_counter};
-    return sip_->hash_concat(payload, words, 2);
+    return sip_.hash_concat(payload, words, 2);
   }
   std::uint8_t buf[72];  // up to 56 B payload + addr + parent counter
   STEINS_CHECK(n + 16 <= sizeof(buf), "node_mac payload exceeds the stack buffer");
@@ -46,20 +36,6 @@ std::uint64_t MacEngine::node_mac(std::span<const std::uint8_t> payload, Addr no
   std::memcpy(buf + n, &node_addr, 8);
   std::memcpy(buf + n + 8, &parent_counter, 8);
   return mac64({buf, n + 16});
-}
-
-std::uint64_t MacEngine::data_mac(const Block& ciphertext, Addr addr, std::uint64_t counter,
-                                  std::uint64_t aux) const {
-  if (profile_ != CryptoProfile::kReal) {
-    const std::uint64_t words[3] = {addr, counter, aux};
-    return sip_->hash_concat({ciphertext.data(), kBlockSize}, words, 3);
-  }
-  std::uint8_t buf[kBlockSize + 24];
-  std::memcpy(buf, ciphertext.data(), kBlockSize);
-  std::memcpy(buf + kBlockSize, &addr, 8);
-  std::memcpy(buf + kBlockSize + 8, &counter, 8);
-  std::memcpy(buf + kBlockSize + 16, &aux, 8);
-  return mac64({buf, sizeof(buf)});
 }
 
 }  // namespace steins::crypto

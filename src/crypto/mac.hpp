@@ -1,32 +1,28 @@
 // MacEngine: the keyed-MAC facade used for SIT node HMACs and data HMACs.
 //
-// Real profile: HMAC-SHA256 truncated to 64 bits. Fast profile: SipHash-2-4.
-// Both are keyed 64-bit MACs; the simulator charges the same modeled hash
-// latency (SecureConfig::hash_latency_cycles) for either.
+// Every MAC is SipHash-2-4, a keyed 64-bit PRF, under the key
+// seed || "MAC_KEY1" (domain-separated from the OTP key). The paper calls
+// these tags HMACs; the simulator charges the modeled hash latency
+// (SecureConfig::hash_latency_cycles) per tag, independent of the function.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <span>
 
-#include "common/config.hpp"
 #include "common/types.hpp"
-#include "crypto/backend.hpp"
-#include "crypto/hmac.hpp"
 #include "crypto/siphash.hpp"
 
 namespace steins::crypto {
 
 class MacEngine {
  public:
-  /// `backend` pins the hash backend (tests/benchmarks); nullopt follows
-  /// the process-wide registry.
-  MacEngine(CryptoProfile profile, std::uint64_t key_seed,
-            std::optional<CryptoBackend> backend = std::nullopt);
+  /// Key-derivation domain constant: the upper 8 bytes of the SipHash key.
+  static constexpr std::uint64_t kKeyDomain = 0x4d41435f4b455931ULL;  // "MAC_KEY1"
+
+  explicit MacEngine(std::uint64_t key_seed);
 
   /// Generic keyed 64-bit MAC over raw bytes.
-  std::uint64_t mac64(std::span<const std::uint8_t> data) const;
+  std::uint64_t mac64(std::span<const std::uint8_t> data) const { return sip_.hash(data); }
 
   /// SIT node HMAC (paper §II-C): MAC over (counter payload, node address,
   /// parent counter). `payload` is the node's 56-byte counter area.
@@ -38,14 +34,13 @@ class MacEngine {
   /// (paper §II-D: "we store the major counter in the HMAC of the data
   /// block for recovery"); pass 0 when unused.
   std::uint64_t data_mac(const Block& ciphertext, Addr addr, std::uint64_t counter,
-                         std::uint64_t aux = 0) const;
-
-  CryptoProfile profile() const { return profile_; }
+                         std::uint64_t aux = 0) const {
+    const std::uint64_t words[3] = {addr, counter, aux};
+    return sip_.hash_concat({ciphertext.data(), kBlockSize}, words, 3);
+  }
 
  private:
-  CryptoProfile profile_;
-  std::unique_ptr<HmacSha256> hmac_;
-  std::unique_ptr<SipHash24> sip_;
+  SipHash24 sip_;
 };
 
 }  // namespace steins::crypto

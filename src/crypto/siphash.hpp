@@ -1,13 +1,13 @@
 // SipHash-2-4 (Aumasson & Bernstein): a fast keyed 64-bit PRF.
 //
-// Used by the kFast crypto profile as the MAC and OTP primitive so that the
-// figure benches run quickly on one core; the control flow, traffic, and
-// modeled latency are identical to the real AES/HMAC profile.
+// The MAC primitive of the crypto pipeline (crypto/mac.hpp): every SIT
+// node MAC, data MAC and scheme-specific set MAC is a SipHash-2-4 tag. OTP
+// pads come from AES-CTR (crypto/otp.hpp).
 //
-// The word-granular entry points (hash_words, hash_concat) are defined
-// inline: they sit on the per-access pad/MAC path of every simulated memory
-// operation, and keeping the round function visible to the compiler lets it
-// unroll the fixed-length message schedules completely.
+// The entry points are defined inline: they sit on the per-access MAC path
+// of every simulated memory operation, and keeping the round function
+// visible to the compiler lets it unroll the fixed-length message schedules
+// completely.
 #pragma once
 
 #include <array>
@@ -86,15 +86,6 @@ class SipHash24 {
       last |= static_cast<std::uint64_t>(data[off + i]) << (8 * i);
     }
     s.compress(last);
-    return s.finalize();
-  }
-
-  /// 64-bit keyed hash of two machine words (hot path: address + counter).
-  std::uint64_t hash_words(std::uint64_t a, std::uint64_t b) const {
-    detail::SipState s = init();
-    s.compress(a);
-    s.compress(b);
-    s.compress(std::uint64_t{16} << 56);
     return s.finalize();
   }
 

@@ -95,7 +95,6 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
   cfg.nvm.capacity_bytes = workload.capacity_mb << 20;
   cfg.secure.metadata_cache.size_bytes = workload.mcache_kb * 1024;
   cfg.counter_mode = spec.mode;
-  cfg.crypto = CryptoProfile::kFast;
   cfg.secure.ft = workload.ft;
   cfg.nvm.endurance_mean_writes = workload.endurance_mean_writes;
   cfg.nvm.endurance_sigma_writes = workload.endurance_sigma_writes;
@@ -434,7 +433,6 @@ MulticycleOutcome run_multicycle_trial(const SchemeSpec& spec, FaultClass cls,
   cfg.nvm.capacity_bytes = workload.capacity_mb << 20;
   cfg.secure.metadata_cache.size_bytes = workload.mcache_kb * 1024;
   cfg.counter_mode = spec.mode;
-  cfg.crypto = CryptoProfile::kFast;
   cfg.secure.ft = workload.ft;
   std::unique_ptr<SecureMemory> mem = make_scheme(spec.scheme, cfg);
   auto* base = dynamic_cast<SecureMemoryBase*>(mem.get());

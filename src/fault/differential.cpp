@@ -41,7 +41,6 @@ Instance build_crashed_instance(const SchemeSpec& spec, const DifferentialOption
   cfg.nvm.capacity_bytes = opt.capacity_mb << 20;
   cfg.secure.metadata_cache.size_bytes = opt.mcache_kb * 1024;
   cfg.counter_mode = spec.mode;
-  cfg.crypto = CryptoProfile::kFast;
 
   Instance inst;
   inst.capacity_bytes = cfg.nvm.capacity_bytes;

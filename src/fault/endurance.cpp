@@ -31,7 +31,6 @@ EnduranceReport run_endurance_campaign(const EnduranceOptions& opts) {
   SystemConfig cfg = default_config();
   cfg.nvm.capacity_bytes = 16ULL << 20;
   cfg.secure.metadata_cache.size_bytes = 16 * 1024;
-  cfg.crypto = CryptoProfile::kFast;
   cfg.nvm.endurance_mean_writes = opts.accel_endurance_mean;
   cfg.nvm.endurance_sigma_writes = opts.accel_endurance_sigma;
   cfg.nvm.wear_seed = opts.seed * 0x9e3779b97f4a7c15ULL + 0x77ea7ULL;

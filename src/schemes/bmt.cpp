@@ -14,7 +14,7 @@ BmtMemory::BmtMemory(const SystemConfig& cfg, std::uint64_t key_seed)
       geo_(cfg.nvm, CounterMode::kGeneral),
       dev_(cfg.nvm),
       channel_(cfg_, dev_),
-      cme_(cfg.crypto, key_seed),
+      cme_(key_seed),
       mcache_(cfg.secure.metadata_cache.size_bytes, cfg.secure.metadata_cache.ways,
               cfg.secure.metadata_cache.block_bytes),
       root_(geo_.root_children(), 0) {

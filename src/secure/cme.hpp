@@ -1,12 +1,11 @@
 // Counter-mode encryption engine (paper §II-B).
 //
-// Encrypts/decrypts 64 B data blocks by XOR with an OTP derived from
+// Encrypts/decrypts 64 B data blocks by XOR with an AES-CTR OTP derived from
 // (secret key, block address, counter), and computes/verifies the per-block
-// data HMAC stored in the ECC-colocated tag sidecar.
+// SipHash data MAC stored in the ECC-colocated tag sidecar.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "common/config.hpp"
 #include "common/types.hpp"
@@ -17,12 +16,11 @@ namespace steins {
 
 class CmeEngine {
  public:
-  /// `backend` pins the crypto backend for both engines (tests/benchmarks);
-  /// nullopt follows the process-wide registry (crypto/backend.hpp).
-  CmeEngine(CryptoProfile profile, std::uint64_t key_seed,
-            std::optional<crypto::CryptoBackend> backend = std::nullopt)
-      : otp_(profile, key_seed, crypto::PadDomain::kV2, backend),
-        mac_(profile, key_seed, backend) {}
+  /// Pads follow the process-wide AES backend (crypto/backend.hpp).
+  explicit CmeEngine(std::uint64_t key_seed) : otp_(key_seed), mac_(key_seed) {}
+
+  /// Same engine, spelled with the SystemConfig::crypto tag.
+  CmeEngine(CryptoPipeline, std::uint64_t key_seed) : CmeEngine(key_seed) {}
 
   Block encrypt(const Block& plaintext, Addr addr, std::uint64_t counter) const {
     return xor_pad(plaintext, addr, counter);

@@ -60,7 +60,7 @@ SecureMemoryBase::SecureMemoryBase(const SystemConfig& cfg, std::uint64_t key_se
       geo_(cfg.nvm, cfg.counter_mode),
       dev_(cfg.nvm),
       channel_(cfg_, dev_),
-      cme_(cfg.crypto, key_seed),
+      cme_(key_seed),
       mcache_(cfg.secure.metadata_cache.size_bytes, cfg.secure.metadata_cache.ways,
               cfg.secure.metadata_cache.block_bytes),
       root_(geo_.root_children(), 0),

@@ -3,6 +3,8 @@
 // backend tests skip cleanly when CPUID does not report AES-NI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -226,6 +228,33 @@ TEST(Aes128, Encrypt4MatchesFourSingleBlocks) {
       for (int lane = 0; lane < 4; ++lane) aes.encrypt_block(expect.data() + lane * 16);
       aes.encrypt4(blocks.data());
       ASSERT_EQ(blocks, expect) << backend_name(b) << " trial " << trial;
+    }
+  }
+}
+
+TEST(Aes128, Encrypt4LanesAreIndependent) {
+  // Flipping one input bit of one lane changes that lane's output only:
+  // the interleaved kernels must never mix state across lanes.
+  Xoshiro256 rng(0x1a4eULL);
+  for (CryptoBackend b : all_backends()) {
+    if (!backend_testable(b)) continue;
+    Aes128::Key key;
+    for (auto& byte : key) byte = static_cast<std::uint8_t>(rng.next());
+    Aes128 aes(key, b);
+    std::array<std::uint8_t, 64> base;
+    for (auto& byte : base) byte = static_cast<std::uint8_t>(rng.next());
+    std::array<std::uint8_t, 64> base_ct = base;
+    aes.encrypt4(base_ct.data());
+    for (int lane = 0; lane < 4; ++lane) {
+      std::array<std::uint8_t, 64> flipped = base;
+      flipped[lane * 16 + 5] ^= 0x10;
+      aes.encrypt4(flipped.data());
+      for (int other = 0; other < 4; ++other) {
+        const bool same = std::equal(flipped.begin() + other * 16, flipped.begin() + other * 16 + 16,
+                                     base_ct.begin() + other * 16);
+        EXPECT_EQ(same, other != lane) << backend_name(b) << " flipped lane " << lane
+                                       << ", lane " << other;
+      }
     }
   }
 }

@@ -1,6 +1,9 @@
 // CME engine and SIT node codec.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "crypto/backend.hpp"
 #include "secure/cme.hpp"
 #include "sit/node.hpp"
 
@@ -13,25 +16,55 @@ Block pattern(std::uint8_t base) {
   return b;
 }
 
-class CmeBothProfiles : public ::testing::TestWithParam<CryptoProfile> {};
+// The pad comes from the registry-dispatched AES kernel, so the
+// encryption properties are checked under every forced backend.
+class CmeBackends : public ::testing::TestWithParam<crypto::CryptoBackend> {};
 
-TEST_P(CmeBothProfiles, EncryptDecryptRoundTrip) {
-  CmeEngine cme(GetParam(), 1234);
+TEST_P(CmeBackends, EncryptDecryptRoundTrip) {
+  const crypto::ScopedCryptoBackend scoped(GetParam());
+  CmeEngine cme(1234);
   const Block pt = pattern(3);
   const Block ct = cme.encrypt(pt, 0x1000, 42);
   EXPECT_NE(ct, pt);  // ciphertext differs
   EXPECT_EQ(cme.decrypt(ct, 0x1000, 42), pt);
 }
 
-TEST_P(CmeBothProfiles, CounterChangesCiphertext) {
-  CmeEngine cme(GetParam(), 1234);
+TEST_P(CmeBackends, CounterChangesCiphertext) {
+  const crypto::ScopedCryptoBackend scoped(GetParam());
+  CmeEngine cme(1234);
   const Block pt = pattern(5);
   EXPECT_NE(cme.encrypt(pt, 0x1000, 1), cme.encrypt(pt, 0x1000, 2));
   EXPECT_NE(cme.encrypt(pt, 0x1000, 1), cme.encrypt(pt, 0x1040, 1));
 }
 
-TEST_P(CmeBothProfiles, DataMacBindsAllInputs) {
-  CmeEngine cme(GetParam(), 1234);
+INSTANTIATE_TEST_SUITE_P(CmeEngine, CmeBackends,
+                         ::testing::Values(crypto::CryptoBackend::kRef,
+                                           crypto::CryptoBackend::kTtable,
+                                           crypto::CryptoBackend::kHw),
+                         [](const ::testing::TestParamInfo<crypto::CryptoBackend>& info) {
+                           return std::string(crypto::backend_name(info.param));
+                         });
+
+TEST(CmeEngine, StaleCounterDoesNotDecrypt) {
+  // A replayed counter yields a different pad, so decryption under the
+  // wrong counter returns garbage rather than the plaintext.
+  CmeEngine cme(1234);
+  const Block pt = pattern(7);
+  const Block ct = cme.encrypt(pt, 0x1000, 42);
+  EXPECT_NE(cme.decrypt(ct, 0x1000, 41), pt);
+  EXPECT_NE(cme.decrypt(ct, 0x1040, 42), pt);
+}
+
+TEST(CmeEngine, KeySeedChangesCiphertextAndMac) {
+  const CmeEngine a(1234);
+  const CmeEngine b(1235);
+  const Block pt = pattern(13);
+  EXPECT_NE(a.encrypt(pt, 0x40, 3), b.encrypt(pt, 0x40, 3));
+  EXPECT_NE(a.data_mac(pt, 0x40, 3), b.data_mac(pt, 0x40, 3));
+}
+
+TEST(CmeEngine, DataMacBindsAllInputs) {
+  CmeEngine cme(1234);
   const Block ct = pattern(9);
   const std::uint64_t base = cme.data_mac(ct, 0x40, 7, 0);
   EXPECT_NE(base, cme.data_mac(ct, 0x80, 7, 0));   // address
@@ -42,11 +75,13 @@ TEST_P(CmeBothProfiles, DataMacBindsAllInputs) {
   EXPECT_NE(base, cme.data_mac(ct2, 0x40, 7, 0));  // ciphertext
 }
 
-INSTANTIATE_TEST_SUITE_P(Profiles, CmeBothProfiles,
-                         ::testing::Values(CryptoProfile::kReal, CryptoProfile::kFast),
-                         [](const ::testing::TestParamInfo<CryptoProfile>& info) {
-                           return info.param == CryptoProfile::kReal ? "Real" : "Fast";
-                         });
+TEST(CmeEngine, ConfigTagBuildsTheSameEngine) {
+  const CmeEngine tagged(SystemConfig{}.crypto, 1234);
+  const CmeEngine plain(1234);
+  const Block pt = pattern(11);
+  EXPECT_EQ(tagged.encrypt(pt, 0x40, 3), plain.encrypt(pt, 0x40, 3));
+  EXPECT_EQ(tagged.data_mac(pt, 0x40, 3), plain.data_mac(pt, 0x40, 3));
+}
 
 TEST(SitNode, GeneralBlockRoundTripsThroughImage) {
   SitNode n;

@@ -23,7 +23,6 @@ Block filled(std::uint8_t v) {
 SystemConfig small_config() {
   SystemConfig cfg = default_config();
   cfg.nvm.capacity_bytes = std::uint64_t{4} << 20;
-  cfg.crypto = CryptoProfile::kFast;
   return cfg;
 }
 

@@ -40,48 +40,71 @@ TEST(SipHash24, ReferenceVectors) {
   }
 }
 
-TEST(SipHash24, HashWordsMatchesByteHash) {
+TEST(SipHash24, HashConcatMatchesByteHash) {
+  // The composite-MAC entry point must equal hash() over the concatenated
+  // message, for an empty and an 8-aligned prefix.
   const SipHash24 sip = reference_keyed();
-  const std::uint64_t a = 0x0123456789abcdefULL;
-  const std::uint64_t b = 0xfedcba9876543210ULL;
-  std::uint8_t buf[16];
-  std::memcpy(buf, &a, 8);
-  std::memcpy(buf + 8, &b, 8);
-  EXPECT_EQ(sip.hash_words(a, b), sip.hash({buf, 16}));
+  const std::uint64_t words[3] = {0x0123456789abcdefULL, 0xfedcba9876543210ULL, 7};
+  std::uint8_t buf[56 + sizeof(words)];
+  for (std::size_t i = 0; i < 56; ++i) buf[i] = static_cast<std::uint8_t>(i * 7);
+  std::memcpy(buf + 56, words, sizeof(words));
+  EXPECT_EQ(sip.hash_concat({buf, 56}, words, 3), sip.hash({buf, sizeof(buf)}));
+  EXPECT_EQ(sip.hash_concat({}, words, 2), sip.hash({buf + 56, 16}));
 }
 
-TEST(MacEngine, ProfilesAreKeyedAndDeterministic) {
-  for (const auto profile : {CryptoProfile::kReal, CryptoProfile::kFast}) {
-    MacEngine m1(profile, 42);
-    MacEngine m1b(profile, 42);
-    MacEngine m2(profile, 43);
-    const std::uint8_t data[8] = {1, 2, 3, 4, 5, 6, 7, 8};
-    EXPECT_EQ(m1.mac64(data), m1b.mac64(data));
-    EXPECT_NE(m1.mac64(data), m2.mac64(data));
-  }
+TEST(MacEngine, KeyedAndDeterministic) {
+  MacEngine m1(42);
+  MacEngine m1b(42);
+  MacEngine m2(43);
+  const std::uint8_t data[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  EXPECT_EQ(m1.mac64(data), m1b.mac64(data));
+  EXPECT_NE(m1.mac64(data), m2.mac64(data));
 }
 
 TEST(MacEngine, NodeMacBindsAddressAndParentCounter) {
-  MacEngine mac(CryptoProfile::kFast, 7);
+  MacEngine mac(7);
   const std::uint8_t payload[56] = {};
   EXPECT_NE(mac.node_mac(payload, 0x1000, 5), mac.node_mac(payload, 0x1040, 5));
   EXPECT_NE(mac.node_mac(payload, 0x1000, 5), mac.node_mac(payload, 0x1000, 6));
 }
 
+TEST(MacEngine, NodeMacStreamingMatchesStagedMessage) {
+  // The 8-aligned fast path and the staged fallback hash the same bytes.
+  MacEngine mac(7);
+  std::uint8_t payload[56];
+  for (std::size_t i = 0; i < sizeof(payload); ++i) payload[i] = static_cast<std::uint8_t>(i);
+  std::uint8_t msg[72];
+  std::memcpy(msg, payload, 56);
+  const std::uint64_t addr = 0x1000, parent = 9;
+  std::memcpy(msg + 56, &addr, 8);
+  std::memcpy(msg + 64, &parent, 8);
+  EXPECT_EQ(mac.node_mac(payload, addr, parent), mac.mac64(msg));
+}
+
+TEST(MacEngine, DataMacMatchesStagedMessage) {
+  // data_mac is the MAC of ciphertext || address || counter || aux.
+  MacEngine mac(7);
+  Block ct;
+  for (std::size_t i = 0; i < ct.size(); ++i) ct[i] = static_cast<std::uint8_t>(i * 5);
+  const std::uint64_t words[3] = {0x2000, 17, 3};
+  std::uint8_t msg[kBlockSize + sizeof(words)];
+  std::memcpy(msg, ct.data(), kBlockSize);
+  std::memcpy(msg + kBlockSize, words, sizeof(words));
+  EXPECT_EQ(mac.data_mac(ct, words[0], words[1], words[2]), mac.mac64(msg));
+}
+
 TEST(OtpEngine, PadsAreUniquePerAddressAndCounter) {
-  for (const auto profile : {CryptoProfile::kReal, CryptoProfile::kFast}) {
-    OtpEngine otp(profile, 99);
-    const Block p1 = otp.pad(0x40, 1);
-    const Block p2 = otp.pad(0x80, 1);
-    const Block p3 = otp.pad(0x40, 2);
-    EXPECT_NE(p1, p2);
-    EXPECT_NE(p1, p3);
-    EXPECT_EQ(p1, otp.pad(0x40, 1));  // deterministic
-  }
+  OtpEngine otp(99);
+  const Block p1 = otp.pad(0x40, 1);
+  const Block p2 = otp.pad(0x80, 1);
+  const Block p3 = otp.pad(0x40, 2);
+  EXPECT_NE(p1, p2);
+  EXPECT_NE(p1, p3);
+  EXPECT_EQ(p1, otp.pad(0x40, 1));  // deterministic
 }
 
 TEST(OtpEngine, XorRoundTrip) {
-  OtpEngine otp(CryptoProfile::kReal, 123);
+  OtpEngine otp(123);
   Block data;
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(i * 3);
   const Block pad = otp.pad(0x1234 * kBlockSize, 77);

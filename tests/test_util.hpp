@@ -12,14 +12,13 @@
 namespace steins::testutil {
 
 /// A small configuration that keeps tests fast while still exercising
-/// evictions: 64 MB NVM, 16 KB metadata cache, fast crypto.
+/// evictions: 64 MB NVM, 16 KB metadata cache.
 inline SystemConfig small_config(CounterMode mode = CounterMode::kGeneral,
                                  std::size_t mcache_bytes = 16 * 1024) {
   SystemConfig cfg = default_config();
   cfg.nvm.capacity_bytes = 64ULL << 20;
   cfg.secure.metadata_cache.size_bytes = mcache_bytes;
   cfg.counter_mode = mode;
-  cfg.crypto = CryptoProfile::kFast;
   return cfg;
 }
 
