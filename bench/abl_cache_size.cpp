@@ -1,5 +1,7 @@
 // Ablation: metadata cache size sweep (paper §IV: "larger cache sizes
 // deliver higher performance"). Steins-GC vs WB-GC across 64 KB .. 1 MB.
+#include <map>
+
 #include "bench_common.hpp"
 
 using namespace steins;

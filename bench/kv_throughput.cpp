@@ -1,16 +1,20 @@
 // KV service throughput/tail-latency matrix: every scheme x YCSB mix.
 //
-// Each cell is an independent closed-loop multi-client run over its own
-// MultiControllerMemory, so the matrix fans out across --jobs threads with
-// bit-identical results to the sequential run. Rows are "SCHEME/mix";
-// columns report throughput and the latency distribution in nanoseconds.
+// Both sections run the one serving engine (kv/serving.hpp). The matrix
+// runs it as ycsb_preset(): one table interleaved over 2 controllers, 4
+// closed-loop clients, no group commit. Each cell is an independent run
+// over its own MultiControllerMemory, so the matrix fans out across
+// --jobs threads with bit-identical results to the sequential run. Rows
+// are "SCHEME/mix"; columns report throughput and the latency
+// distribution in nanoseconds.
 //
-// Below the matrix, the concurrent serving sweep runs the sharded engine
-// (kv/serving.hpp) at 1, 2, and 4 shards on the Steins scheme — same
-// offered load, load-aware routing, group commit on — and reports the
-// simulated-throughput scaling plus, in --json, per-shard occupancy and
-// the group-commit batch-size distribution. The committed BENCH_kv.json
-// records this sweep; CI gates on the 4-shard speedup staying >= 1.5x.
+// Below the matrix, the concurrent serving sweep runs the engine with
+// one shard per controller at 1, 2, and 4 shards on the Steins scheme —
+// same offered load, load-aware routing, group commit on — and reports
+// the simulated-throughput scaling plus, in --json, per-shard occupancy
+// and the group-commit batch-size distribution. The committed
+// BENCH_kv.json records both; CI requires the matrix and sweep rows to
+// regenerate exactly and the 4-shard speedup to stay >= 1.5x.
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -18,7 +22,6 @@
 
 #include "bench_common.hpp"
 #include "kv/serving.hpp"
-#include "kv/ycsb.hpp"
 
 using namespace steins;
 using namespace steins::kv;
@@ -44,7 +47,7 @@ int main(int argc, char** argv) {
   struct Cell {
     Scheme scheme;
     Mix mix;
-    YcsbResult result;
+    ServingResult result;
   };
   std::vector<Cell> cells;
   for (const Scheme s : schemes) {
@@ -52,10 +55,10 @@ int main(int argc, char** argv) {
   }
 
   const auto run_cell = [&](std::size_t i) {
-    YcsbConfig ycfg;
+    ServingConfig ycfg = ycsb_preset();
     ycfg.mix = cells[i].mix;
     ycfg.ops = opt.accesses;
-    cells[i].result = run_ycsb(cfg, cells[i].scheme, ycfg);
+    cells[i].result = run_sharded_serving(cfg, cells[i].scheme, ycfg);
   };
   if (opt.jobs > 1) {
     ThreadPool pool(opt.jobs);

@@ -1,11 +1,10 @@
-// Simulation statistics: named counters, latency accumulators, and a small
+// Simulation statistics: latency histograms and accumulators, and a small
 // fixed-format table printer used by the figure benches.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -126,25 +125,6 @@ struct LatencyAccumulator {
 /// backslashes, and every control character (U+0000..U+001F) are escaped,
 /// so arbitrary labels/paths survive the round trip.
 std::string json_escape(const std::string& s);
-
-/// Registry of named integer counters; cheap to update, easy to diff.
-class StatSet {
- public:
-  void add(const std::string& name, std::uint64_t delta = 1) { counters_[name] += delta; }
-  std::uint64_t get(const std::string& name) const {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-  }
-  const std::map<std::string, std::uint64_t>& all() const { return counters_; }
-  /// Fold another StatSet in (per-worker campaign counters merge here).
-  void merge(const StatSet& other) {
-    for (const auto& [name, v] : other.counters_) counters_[name] += v;
-  }
-  void reset() { counters_.clear(); }
-
- private:
-  std::map<std::string, std::uint64_t> counters_;
-};
 
 /// A printable results table: row labels x column labels of doubles.
 /// Used by every figure bench to emit the same rows/series the paper plots.

@@ -33,7 +33,7 @@
 namespace steins::kv {
 
 /// Block-level geometry of the store's NVM region. Shared by KvStore
-/// (System-based) and the YCSB driver (MultiControllerMemory-based) so
+/// (System-based) and the serving engine (MultiControllerMemory-based) so
 /// both issue identical access shapes.
 struct KvLayout {
   Addr base = Addr{1} << 20;

@@ -1,6 +1,6 @@
 // YCSB-style workload driver for the LSM engine over a single System.
 //
-// Unlike the slot-store YCSB driver (kv/ycsb.hpp, multi-controller
+// Unlike the slot-store serving engine (kv/serving.hpp, multi-controller
 // saturation), this one measures the *engine*: a single client issues the
 // A/B/C/F mixes against an LsmStore, so per-op latencies include WAL
 // appends, memtable flushes, and compactions exactly where the op stream
@@ -22,7 +22,7 @@
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "kv/lsm/lsm_store.hpp"
-#include "kv/ycsb.hpp"
+#include "kv/serving.hpp"
 #include "secure/secure_memory.hpp"
 
 namespace steins::lsm {

@@ -13,10 +13,29 @@
 
 namespace steins::kv {
 
+const char* mix_name(Mix m) {
+  switch (m) {
+    case Mix::kA: return "a";
+    case Mix::kB: return "b";
+    case Mix::kC: return "c";
+    case Mix::kF: return "f";
+  }
+  return "?";
+}
+
+std::optional<Mix> parse_mix(const std::string& name) {
+  if (name == "a" || name == "A") return Mix::kA;
+  if (name == "b" || name == "B") return Mix::kB;
+  if (name == "c" || name == "C") return Mix::kC;
+  if (name == "f" || name == "F") return Mix::kF;
+  return std::nullopt;
+}
+
 const char* routing_name(Routing r) {
   switch (r) {
     case Routing::kHash: return "hash";
     case Routing::kLoadAware: return "load-aware";
+    case Routing::kInterleave: return "interleave";
   }
   return "?";
 }
@@ -26,7 +45,36 @@ std::optional<Routing> parse_routing(const std::string& name) {
   if (name == "load-aware" || name == "loadaware" || name == "load") {
     return Routing::kLoadAware;
   }
+  if (name == "interleave") return Routing::kInterleave;
   return std::nullopt;
+}
+
+void validate_serving_config(const SystemConfig& cfg, const ServingConfig& scfg) {
+  // Runs before anything divides by or allocates proportionally to the
+  // shard count — every public entry point calls this ahead of
+  // constructing MultiControllerMemory, whose constructor already
+  // partitions capacity by the controller count.
+  if (scfg.clients == 0) throw std::invalid_argument("serving needs >= 1 client");
+  if (scfg.shards == 0) throw std::invalid_argument("serving needs >= 1 shard");
+  if (scfg.slots == 0 || (scfg.slots & (scfg.slots - 1)) != 0) {
+    throw std::invalid_argument("serving slots must be a power of two");
+  }
+  if (scfg.keys == 0) throw std::invalid_argument("serving needs >= 1 key");
+  if (scfg.epoch_ops == 0) throw std::invalid_argument("epoch_ops must be >= 1");
+  if (scfg.value_bytes > kMaxValueBytes) {
+    throw std::invalid_argument("value_bytes " + std::to_string(scfg.value_bytes) +
+                                " exceeds the " + std::to_string(kMaxValueBytes) +
+                                "-byte record payload");
+  }
+  KvLayout layout;
+  layout.base = scfg.base;
+  layout.slots = scfg.slots;
+  // A table spanning `ways` controllers addresses ways x one controller's
+  // share of the capacity.
+  const std::uint64_t ways = scfg.routing == Routing::kInterleave ? scfg.shards : 1;
+  if (layout.base + layout.region_bytes() > cfg.nvm.capacity_bytes / scfg.shards * ways) {
+    throw std::invalid_argument("KV table region exceeds its controllers' capacity");
+  }
 }
 
 namespace {
@@ -51,13 +99,12 @@ void put_word(Block& b, std::size_t offset, std::uint64_t w) {
   std::memcpy(b.data() + offset, &w, 8);
 }
 
-/// Same value encoding as the YCSB driver, so record images stay
-/// cross-checkable between the two drivers.
+/// "c<key>.<version>" padded (or cut) to exactly value_bytes, which
+/// validate_serving_config bounds by kMaxValueBytes.
 std::string client_value(std::uint64_t key, std::uint64_t version,
                          std::size_t value_bytes) {
   std::string v = "c" + std::to_string(key) + "." + std::to_string(version);
-  if (v.size() < value_bytes) v.resize(value_bytes, '~');
-  v.resize(std::min(value_bytes, kMaxValueBytes));
+  v.resize(value_bytes, '~');
   return v;
 }
 
@@ -75,10 +122,13 @@ void fnv_fold(std::uint64_t& h, const void* p, std::size_t n) {
 constexpr std::uint32_t kNoOp = 0xffffffffu;
 constexpr std::uint64_t kNoStop = ~std::uint64_t{0};
 constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+/// Interleave granularity of a table spanning several controllers (the
+/// MultiControllerMemory default).
+constexpr std::size_t kInterleaveBytes = 4096;
 
-/// One resolved access of a shard's schedule. Addresses are LOCAL to the
-/// shard's controller (per-shard layouts bypass the interleave). `seq` is
-/// the global emission order — the crash-boundary granularity.
+/// One resolved access of a controller's schedule. Addresses are LOCAL to
+/// that controller (mapped when planned). `seq` is the global emission
+/// order — the crash-boundary granularity.
 struct PlannedAccess {
   enum Kind : std::uint8_t { kCommitRead, kRecordRead, kWrite };
   Addr addr = 0;
@@ -107,7 +157,18 @@ struct Client {
   std::uint64_t updates = 0;
 };
 
-struct Shard {
+/// Where a table address lands: its controller and the local address.
+struct Place {
+  unsigned ctrl;
+  Addr addr;
+};
+
+/// One KV table (shard) and its scheduler-side state. It spans `ways`
+/// controllers from `first`: one for kHash/kLoadAware, all of them for
+/// kInterleave.
+struct Table {
+  unsigned first = 0;
+  unsigned ways = 1;
   std::vector<std::uint64_t> keys;       // keys routed here (ascending)
   std::vector<std::uint64_t> slot_key;   // slot -> key (kNoKey = unused)
   std::vector<std::uint64_t> media;      // commit words as scheduled on media
@@ -118,6 +179,18 @@ struct Shard {
   std::uint64_t admitted = 0;            // this epoch
   std::uint64_t batched = 0;             // commit words coalesced, lifetime
   ShardServingStats stats;
+
+  Place place(Addr a) const {
+    // Per-shard tables map to themselves; skip the interleave's 64-bit
+    // division on every planned access of the sharded serving path.
+    if (ways == 1) return {first, a};
+    return {first + MultiControllerMemory::route(a, kInterleaveBytes, ways),
+            MultiControllerMemory::local_addr(a, kInterleaveBytes, ways)};
+  }
+};
+
+/// One controller's epoch queue and timeline.
+struct Lane {
   std::vector<PlannedAccess> queue;
   Cycle now = 0;
 };
@@ -126,17 +199,23 @@ struct Shard {
 struct EngineRun {
   ServingResult result;
   std::uint64_t total_accesses = 0;
-  std::vector<std::vector<std::uint64_t>> durable;   // [shard][slot]
-  std::vector<std::vector<std::uint64_t>> slot_key;  // [shard][slot]
+  std::vector<Table> tables;  // final scheduler state (durable, slot_key)
 };
 
-/// Key -> shard routing table. kHash scatters by multiplicative hash (top
-/// bits, decorrelated from home_slot's bits); kLoadAware assigns keys in
-/// descending expected Zipf weight to the least-loaded shard, capacity
-/// guarded at half-full per shard so linear probing stays short.
+/// Key -> table routing. kInterleave has one table; kHash scatters by
+/// multiplicative hash (top bits, decorrelated from home_slot's bits);
+/// kLoadAware assigns keys in descending expected Zipf weight to the
+/// least-loaded shard. Every table is capacity guarded at half-full so
+/// linear probing stays short.
 std::vector<std::uint32_t> route_keys(const ServingConfig& scfg) {
   const std::size_t cap = scfg.slots / 2;
   std::vector<std::uint32_t> shard_of(scfg.keys, 0);
+  if (scfg.routing == Routing::kInterleave) {
+    if (scfg.keys > cap) {
+      throw std::invalid_argument("keys must keep the interleaved table at most half full");
+    }
+    return shard_of;
+  }
   std::vector<std::size_t> counts(scfg.shards, 0);
   if (scfg.routing == Routing::kHash) {
     for (std::uint64_t key = 0; key < scfg.keys; ++key) {
@@ -188,73 +267,62 @@ std::vector<std::uint32_t> route_keys(const ServingConfig& scfg) {
 /// `mem` == nullptr plans only (no memory execution, no preload); stop_seq
 /// caps execution at the crash boundary — accesses with seq >= stop_seq
 /// are scheduled for durable-state bookkeeping but never issued.
-/// Reject nonsense configurations before anything divides by or allocates
-/// proportionally to the shard count — every public entry point calls this
-/// ahead of constructing MultiControllerMemory, whose constructor already
-/// partitions capacity by the controller count.
-void validate_serving_config(const SystemConfig& cfg, const ServingConfig& scfg) {
-  if (scfg.clients == 0) throw std::invalid_argument("serving needs >= 1 client");
-  if (scfg.shards == 0) throw std::invalid_argument("serving needs >= 1 shard");
-  if (scfg.slots == 0 || (scfg.slots & (scfg.slots - 1)) != 0) {
-    throw std::invalid_argument("serving slots must be a power of two");
-  }
-  if (scfg.keys == 0) throw std::invalid_argument("serving needs >= 1 key");
-  if (scfg.epoch_ops == 0) throw std::invalid_argument("epoch_ops must be >= 1");
-  KvLayout layout;
-  layout.base = scfg.base;
-  layout.slots = scfg.slots;
-  if (layout.base + layout.region_bytes() > cfg.nvm.capacity_bytes / scfg.shards) {
-    throw std::invalid_argument("per-shard KV region exceeds the controller capacity");
-  }
-}
-
 EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
                      std::uint64_t stop_seq, MultiControllerMemory* mem) {
   validate_serving_config(cfg, scfg);
   KvLayout layout;
   layout.base = scfg.base;
   layout.slots = scfg.slots;
+  const std::size_t nblocks =
+      (scfg.slots + KvLayout::kWordsPerCommitBlock - 1) / KvLayout::kWordsPerCommitBlock;
 
-  const std::vector<std::uint32_t> shard_of = route_keys(scfg);
-  std::vector<Shard> shards(scfg.shards);
-  for (Shard& sh : shards) {
-    sh.slot_key.assign(scfg.slots, kNoKey);
-    sh.media.assign(scfg.slots, 0);
-    sh.logical.assign(scfg.slots, 0);
-    sh.durable.assign(scfg.slots, 0);
-    sh.pending.assign(scfg.slots, 0);
+  const bool interleave = scfg.routing == Routing::kInterleave;
+  const std::vector<std::uint32_t> table_of = route_keys(scfg);
+  std::vector<Table> tables(interleave ? 1 : scfg.shards);
+  for (std::uint32_t t = 0; t < tables.size(); ++t) {
+    Table& tb = tables[t];
+    tb.first = interleave ? 0 : t;
+    tb.ways = interleave ? scfg.shards : 1;
+    tb.slot_key.assign(scfg.slots, kNoKey);
+    tb.media.assign(scfg.slots, 0);
+    tb.logical.assign(scfg.slots, 0);
+    tb.durable.assign(scfg.slots, 0);
+    tb.pending.assign(scfg.slots, 0);
   }
-  // Slot assignment: per-shard linear probing in ascending key order, so
+  std::vector<Lane> lanes(scfg.shards);
+  // Slot assignment: per-table linear probing in ascending key order, so
   // the table image is independent of the routing policy's assignment
   // order.
   std::vector<std::size_t> slot_of(scfg.keys, 0);
   for (std::uint64_t key = 0; key < scfg.keys; ++key) {
-    Shard& sh = shards[shard_of[key]];
+    Table& tb = tables[table_of[key]];
     std::size_t s = layout.home_slot(key);
-    while (sh.slot_key[s] != kNoKey) s = (s + 1) & (scfg.slots - 1);
-    sh.slot_key[s] = key;
+    while (tb.slot_key[s] != kNoKey) s = (s + 1) & (scfg.slots - 1);
+    tb.slot_key[s] = key;
     slot_of[key] = s;
-    sh.keys.push_back(key);
-    ++sh.stats.keys;
+    tb.keys.push_back(key);
+    ++tb.stats.keys;
   }
 
-  // Preload every shard's records + commit blocks on its own timeline.
+  // Preload every table's records + commit blocks, each table on one
+  // timeline (spanning its controllers).
   const std::uint64_t preload_word = CommitWord{1, 0, true}.encode();
-  for (std::uint32_t s = 0; s < scfg.shards; ++s) {
-    Shard& sh = shards[s];
-    for (const std::uint64_t key : sh.keys) {
+  for (Table& tb : tables) {
+    for (const std::uint64_t key : tb.keys) {
       const std::size_t slot = slot_of[key];
-      sh.media[slot] = sh.logical[slot] = sh.durable[slot] = preload_word;
+      tb.media[slot] = tb.logical[slot] = tb.durable[slot] = preload_word;
     }
     if (mem == nullptr) continue;
-    SecureMemory& ctrl = mem->controller(s);
     Cycle t = 0;
-    for (const std::uint64_t key : sh.keys) {
+    const auto write = [&](Addr addr, const Block& img) {
+      const Place p = tb.place(addr);
+      t = mem->controller(p.ctrl).write_block(p.addr, img, t);
+      mem->note_frontier(p.ctrl, t);
+    };
+    for (const std::uint64_t key : tb.keys) {
       const KvRecord rec{key, 1, client_value(key, 1, scfg.value_bytes)};
-      t = ctrl.write_block(layout.record_addr(slot_of[key], 0), encode_record(rec), t);
+      write(layout.record_addr(slot_of[key], 0), encode_record(rec));
     }
-    const std::size_t nblocks =
-        (scfg.slots + KvLayout::kWordsPerCommitBlock - 1) / KvLayout::kWordsPerCommitBlock;
     for (std::size_t blk = 0; blk < nblocks; ++blk) {
       const std::size_t first = blk * KvLayout::kWordsPerCommitBlock;
       const std::size_t n =
@@ -262,17 +330,17 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
       bool any = false;
       Block img{};
       for (std::size_t w = 0; w < n; ++w) {
-        put_word(img, w * 8, sh.media[first + w]);
-        any = any || sh.media[first + w] != 0;
+        put_word(img, w * 8, tb.media[first + w]);
+        any = any || tb.media[first + w] != 0;
       }
-      if (any) t = ctrl.write_block(layout.commit_block_addr(first), img, t);
+      if (any) write(layout.commit_block_addr(first), img);
     }
-    ctrl.stats().reset();
-    mem->note_frontier(s, t);
-    sh.now = t;
+  }
+  if (mem != nullptr) {
+    for (unsigned c = 0; c < scfg.shards; ++c) mem->controller(c).stats().reset();
   }
   const Cycle start = mem != nullptr ? mem->max_frontier() : 0;
-  for (Shard& sh : shards) sh.now = start;
+  for (Lane& lane : lanes) lane.now = start;
 
   std::vector<Client> clients(scfg.clients);
   for (unsigned i = 0; i < scfg.clients; ++i) {
@@ -284,15 +352,22 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
   std::uint64_t next_seq = 0;
   LatencyHistogram batch_sizes;
 
-  // Flush a shard's group-commit window: one commit-block write per dirty
+  // Queue a planned access (table address) at its controller.
+  const auto emit = [&](const Table& tb, PlannedAccess& a) {
+    const Place p = tb.place(a.addr);
+    a.addr = p.addr;
+    lanes[p.ctrl].queue.push_back(std::move(a));
+  };
+
+  // Flush a table's group-commit window: one commit-block write per dirty
   // block (ascending), image materialized from the logical words. The
   // window's size is one batch-distribution sample.
-  const auto flush_window = [&](Shard& sh, std::uint32_t attribute_op) {
-    if (sh.pending_slots.empty()) return;
-    std::sort(sh.pending_slots.begin(), sh.pending_slots.end());
+  const auto flush_window = [&](Table& tb, std::uint32_t attribute_op) {
+    if (tb.pending_slots.empty()) return;
+    std::sort(tb.pending_slots.begin(), tb.pending_slots.end());
     std::size_t prev_block = ~std::size_t{0};
-    for (const std::size_t slot : sh.pending_slots) {
-      sh.pending[slot] = 0;
+    for (const std::size_t slot : tb.pending_slots) {
+      tb.pending[slot] = 0;
       const std::size_t block = slot / KvLayout::kWordsPerCommitBlock;
       if (block == prev_block) continue;
       prev_block = block;
@@ -304,30 +379,30 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
       w.seq = next_seq++;
       w.op = attribute_op;
       w.kind = PlannedAccess::kWrite;
-      for (std::size_t i = 0; i < n; ++i) put_word(w.data, i * 8, sh.logical[first + i]);
-      for (std::size_t i = 0; i < n; ++i) sh.media[first + i] = sh.logical[first + i];
+      for (std::size_t i = 0; i < n; ++i) put_word(w.data, i * 8, tb.logical[first + i]);
+      for (std::size_t i = 0; i < n; ++i) tb.media[first + i] = tb.logical[first + i];
       if (w.seq < stop_seq) {
-        for (std::size_t i = 0; i < n; ++i) sh.durable[first + i] = sh.logical[first + i];
+        for (std::size_t i = 0; i < n; ++i) tb.durable[first + i] = tb.logical[first + i];
       }
-      sh.queue.push_back(std::move(w));
-      ++sh.stats.commit_writes;
+      emit(tb, w);
+      ++tb.stats.commit_writes;
     }
-    batch_sizes.add(sh.pending_slots.size());
-    sh.batched += sh.pending_slots.size();
-    ++sh.stats.commit_flushes;
-    sh.pending_slots.clear();
+    batch_sizes.add(tb.pending_slots.size());
+    tb.batched += tb.pending_slots.size();
+    ++tb.stats.commit_flushes;
+    tb.pending_slots.clear();
   };
 
-  // Replay one shard's queue on its own controller, validating every read
-  // against the schedule. Queues are disjoint; the ShardGang barrier is
-  // the only synchronization.
-  const auto replay = [&](std::size_t s) {
+  // Replay one controller's queue, validating every read against the
+  // schedule. Queues are disjoint; the ShardGang barrier is the only
+  // synchronization.
+  const auto replay = [&](std::size_t c) {
     if (mem == nullptr) return;
-    Shard& sh = shards[s];
-    MultiControllerMemory::ShardLease lease(*mem, static_cast<unsigned>(s));
+    Lane& lane = lanes[c];
+    MultiControllerMemory::ShardLease lease(*mem, static_cast<unsigned>(c));
     SecureMemory& ctrl = lease.mem();
-    Cycle now = sh.now;
-    for (PlannedAccess& a : sh.queue) {
+    Cycle now = lane.now;
+    for (PlannedAccess& a : lane.queue) {
       if (a.seq >= stop_seq) break;
       if (a.kind == PlannedAccess::kWrite) {
         const Cycle done = ctrl.write_block(a.addr, a.data, now);
@@ -352,7 +427,7 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
         }
       }
     }
-    sh.now = now;
+    lane.now = now;
     lease.note_frontier(now);
   };
 
@@ -365,51 +440,50 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
   for (std::uint64_t done_ops = 0; done_ops < scfg.ops;) {
     const std::uint64_t epoch_ops = std::min(scfg.epoch_ops, scfg.ops - done_ops);
     plans.clear();
-    for (Shard& sh : shards) {
-      sh.queue.clear();
-      sh.admitted = 0;
-    }
+    for (Lane& lane : lanes) lane.queue.clear();
+    for (Table& tb : tables) tb.admitted = 0;
 
     // Phase 1: resolve the epoch's schedule.
     for (std::uint64_t e = 0; e < epoch_ops; ++e) {
       const auto op_idx = static_cast<std::uint32_t>(e);
       const auto cid = static_cast<std::uint32_t>((done_ops + e) % scfg.clients);
       Client& c = clients[cid];
+      // Zipf rank -> key, scattered so the hot set spans controllers.
       const std::uint64_t rank = sampler.sample(c.rng);
       const std::uint64_t key = (rank * 0x9e3779b97f4a7c15ULL) % scfg.keys;
       const bool is_update = upd_frac > 0.0 && c.rng.chance(upd_frac);
-      Shard& sh = shards[shard_of[key]];
+      Table& tb = tables[table_of[key]];
 
       // Bounded admission: overload sheds the op into a typed degraded
       // verdict. The client RNG was already advanced identically, so the
       // rest of the schedule is unchanged by the shed.
-      if (scfg.queue_depth != 0 && sh.admitted >= scfg.queue_depth) {
-        ++sh.stats.shed;
-        sh.stats.degraded = true;
+      if (scfg.queue_depth != 0 && tb.admitted >= scfg.queue_depth) {
+        ++tb.stats.shed;
+        tb.stats.degraded = true;
         plans.push_back(OpPlan{cid, is_update, true});
         continue;
       }
-      ++sh.admitted;
-      ++sh.stats.ops;
+      ++tb.admitted;
+      ++tb.stats.ops;
       plans.push_back(OpPlan{cid, is_update, false});
 
       const std::size_t slot = slot_of[key];
-      const CommitWord word = CommitWord::decode(sh.logical[slot]);
+      const CommitWord word = CommitWord::decode(tb.logical[slot]);
       if (word.empty() || !word.live) {
         throw std::logic_error("serving scheduled an op on a dead slot");
       }
 
-      if (is_update && sh.pending[slot]) {
+      if (is_update && tb.pending[slot]) {
         // Second update to a buffered slot: its record write would target
         // the replica the DURABLE commit word still points at. Force the
         // window out first so the two-replica invariant holds at every
         // crash boundary.
-        flush_window(sh, kNoOp);
+        flush_window(tb, kNoOp);
       }
 
-      if (!sh.pending[slot]) {
+      if (!tb.pending[slot]) {
         // Commit read from media; a buffered slot skips this (the word is
-        // served from the shard's volatile commit buffer — the group
+        // served from the table's volatile commit buffer — the group
         // commit coalescing win on the read path).
         PlannedAccess commit_read;
         commit_read.addr = layout.commit_block_addr(slot);
@@ -417,14 +491,15 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
         commit_read.op = op_idx;
         commit_read.kind = PlannedAccess::kCommitRead;
         commit_read.offset = static_cast<std::uint32_t>(layout.commit_word_offset(slot));
-        commit_read.expect_word = sh.media[slot];
-        sh.queue.push_back(std::move(commit_read));
+        commit_read.expect_word = tb.media[slot];
+        emit(tb, commit_read);
       }
 
       // Re-read the word: the forced flush above never changes it, but
       // keep the single source of truth obvious.
-      const CommitWord cur = CommitWord::decode(sh.logical[slot]);
+      const CommitWord cur = CommitWord::decode(tb.logical[slot]);
       if (!is_update || scfg.mix == Mix::kF) {
+        // Plain read, or the read half of a read-modify-write.
         PlannedAccess rec_read;
         rec_read.addr = layout.record_addr(slot, cur.replica);
         rec_read.seq = next_seq++;
@@ -432,7 +507,7 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
         rec_read.kind = PlannedAccess::kRecordRead;
         rec_read.expect_key = key;
         rec_read.expect_version = cur.version;
-        sh.queue.push_back(std::move(rec_read));
+        emit(tb, rec_read);
       }
       if (is_update) {
         const int replica = 1 - cur.replica;
@@ -444,30 +519,30 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
         rec_write.op = op_idx;
         rec_write.kind = PlannedAccess::kWrite;
         rec_write.data = encode_record(rec);
-        sh.queue.push_back(std::move(rec_write));
+        emit(tb, rec_write);
 
-        sh.logical[slot] = CommitWord{cur.version + 1, replica, true}.encode();
-        sh.pending[slot] = 1;
-        sh.pending_slots.push_back(slot);
+        tb.logical[slot] = CommitWord{cur.version + 1, replica, true}.encode();
+        tb.pending[slot] = 1;
+        tb.pending_slots.push_back(slot);
         if (scfg.group_commit_window == 0) {
-          flush_window(sh, op_idx);  // batch of 1: the op owns its commit write
-        } else if (sh.pending_slots.size() >= scfg.group_commit_window) {
-          flush_window(sh, kNoOp);
+          flush_window(tb, op_idx);  // batch of 1: the op owns its commit write
+        } else if (tb.pending_slots.size() >= scfg.group_commit_window) {
+          flush_window(tb, kNoOp);
         }
       }
     }
-    // Epoch boundary is a durability point: every shard's window goes out.
-    for (Shard& sh : shards) flush_window(sh, kNoOp);
+    // Epoch boundary is a durability point: every table's window goes out.
+    for (Table& tb : tables) flush_window(tb, kNoOp);
 
-    // Phase 2: replay each shard's queue behind the gang barrier.
+    // Phase 2: replay each controller's queue behind the gang barrier.
     gang.run_epoch(replay);
 
     // Epoch barrier: fold service times into per-client histograms in
     // global op order. Group flushes (kNoOp) contribute to makespan and
     // the flush columns, not to any single client's latency.
     op_lat.assign(epoch_ops, 0);
-    for (const Shard& sh : shards) {
-      for (const PlannedAccess& a : sh.queue) {
+    for (const Lane& lane : lanes) {
+      for (const PlannedAccess& a : lane.queue) {
         if (a.seq >= stop_seq) break;
         if (a.op == kNoOp) continue;
         op_lat[a.op] += a.service;
@@ -502,23 +577,29 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
   res.all_lat.merge(res.update_lat);
   res.batch_sizes = batch_sizes;
   res.ops = res.reads + res.updates;
-  for (Shard& sh : shards) {
-    res.shed_ops += sh.stats.shed;
-    if (sh.stats.degraded) ++res.degraded_shards;
-    res.commit_writes += sh.stats.commit_writes;
-    sh.stats.busy = sh.now - start;
-    res.makespan = std::max(res.makespan, sh.stats.busy);
-    sh.stats.mean_batch =
-        sh.stats.commit_flushes
-            ? static_cast<double>(sh.batched) / static_cast<double>(sh.stats.commit_flushes)
+  // A table's timeline is its busiest controller's.
+  const auto table_now = [&](const Table& tb) {
+    Cycle now = start;
+    for (unsigned c = tb.first; c < tb.first + tb.ways; ++c) now = std::max(now, lanes[c].now);
+    return now;
+  };
+  for (Table& tb : tables) {
+    res.shed_ops += tb.stats.shed;
+    if (tb.stats.degraded) ++res.degraded_shards;
+    res.commit_writes += tb.stats.commit_writes;
+    tb.stats.busy = table_now(tb) - start;
+    res.makespan = std::max(res.makespan, tb.stats.busy);
+    tb.stats.mean_batch =
+        tb.stats.commit_flushes
+            ? static_cast<double>(tb.batched) / static_cast<double>(tb.stats.commit_flushes)
             : 0.0;
   }
-  for (Shard& sh : shards) {
-    sh.stats.occupancy = res.makespan
-                             ? static_cast<double>(sh.stats.busy) /
+  for (Table& tb : tables) {
+    tb.stats.occupancy = res.makespan
+                             ? static_cast<double>(tb.stats.busy) /
                                    static_cast<double>(res.makespan)
                              : 0.0;
-    res.shards.push_back(sh.stats);
+    res.shards.push_back(tb.stats);
   }
   res.seconds = cfg.cycles_to_seconds(res.makespan);
   res.kops_per_sec =
@@ -526,37 +607,35 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
   if (mem != nullptr) res.nvm_writes = mem->total_nvm_writes();
 
   // Final durable-image digest: read every commit block and live record
-  // back from media, sequentially in shard order after the last barrier.
+  // back from media, sequentially in table order after the last barrier.
   // Bit-identity across jobs values includes this digest.
   if (mem != nullptr && stop_seq == kNoStop) {
     std::uint64_t digest = 1469598103934665603ULL;  // FNV-1a offset basis
-    for (std::uint32_t s = 0; s < scfg.shards; ++s) {
-      Shard& sh = shards[s];
-      SecureMemory& ctrl = mem->controller(s);
-      Cycle now = sh.now;
-      const std::size_t nblocks =
-          (scfg.slots + KvLayout::kWordsPerCommitBlock - 1) /
-          KvLayout::kWordsPerCommitBlock;
+    for (const Table& tb : tables) {
+      Cycle now = table_now(tb);
+      const auto read = [&](Addr addr, Block* out) {
+        const Place p = tb.place(addr);
+        now = std::max(now, mem->controller(p.ctrl).read_block(p.addr, now, out));
+      };
       for (std::size_t blk = 0; blk < nblocks; ++blk) {
         const std::size_t first = blk * KvLayout::kWordsPerCommitBlock;
         const std::size_t n =
             std::min(KvLayout::kWordsPerCommitBlock, scfg.slots - first);
         bool any = false;
-        for (std::size_t i = 0; i < n; ++i) any = any || sh.media[first + i] != 0;
+        for (std::size_t i = 0; i < n; ++i) any = any || tb.media[first + i] != 0;
         if (!any) continue;
         Block b;
-        now = std::max(now, ctrl.read_block(layout.commit_block_addr(first), now, &b));
+        read(layout.commit_block_addr(first), &b);
         for (std::size_t i = 0; i < n; ++i) {
           const std::uint64_t got = word_at(b, i * 8);
-          if (got != sh.media[first + i]) {
+          if (got != tb.media[first + i]) {
             throw std::logic_error("final image diverged from the schedule shadow");
           }
           fnv_fold(digest, &got, 8);
           const CommitWord word = CommitWord::decode(got);
           if (word.empty() || !word.live) continue;
           Block rec;
-          now = std::max(
-              now, ctrl.read_block(layout.record_addr(first + i, word.replica), now, &rec));
+          read(layout.record_addr(first + i, word.replica), &rec);
           fnv_fold(digest, rec.data(), rec.size());
         }
       }
@@ -567,10 +646,7 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
   EngineRun run;
   run.result = std::move(res);
   run.total_accesses = next_seq;
-  for (Shard& sh : shards) {
-    run.durable.push_back(std::move(sh.durable));
-    run.slot_key.push_back(std::move(sh.slot_key));
-  }
+  run.tables = std::move(tables);
   return run;
 }
 
@@ -651,11 +727,14 @@ ServingCrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
   layout.base = scfg.base;
   layout.slots = scfg.slots;
   try {
-    for (std::uint32_t s = 0; s < scfg.shards; ++s) {
-      SecureMemory& ctrl = mem.controller(s);
-      const std::vector<std::uint64_t>& durable = run.durable[s];
-      const std::vector<std::uint64_t>& slot_key = run.slot_key[s];
+    for (std::size_t s = 0; s < run.tables.size(); ++s) {
+      const Table& tb = run.tables[s];
+      const std::vector<std::uint64_t>& durable = tb.durable;
       Cycle now = 0;
+      const auto read = [&](Addr addr, Block* out) {
+        const Place p = tb.place(addr);
+        now = std::max(now, mem.controller(p.ctrl).read_block(p.addr, now, out));
+      };
       const std::size_t nblocks =
           (scfg.slots + KvLayout::kWordsPerCommitBlock - 1) /
           KvLayout::kWordsPerCommitBlock;
@@ -673,7 +752,7 @@ ServingCrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
         if (!any) continue;
         Block b;
         try {
-          now = std::max(now, ctrl.read_block(layout.commit_block_addr(first), now, &b));
+          read(layout.commit_block_addr(first), &b);
         } catch (const StatusError& e) {
           if (!is_unavailable(e.code())) throw;
           rep.slots_unavailable += durable_live;
@@ -694,15 +773,14 @@ ServingCrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
           ++rep.committed_slots;
           Block recb;
           try {
-            now = std::max(
-                now, ctrl.read_block(layout.record_addr(slot, word.replica), now, &recb));
+            read(layout.record_addr(slot, word.replica), &recb);
           } catch (const StatusError& e) {
             if (!is_unavailable(e.code())) throw;
             ++rep.slots_unavailable;
             continue;
           }
           KvRecord rec;
-          const std::uint64_t key = slot_key[slot];
+          const std::uint64_t key = tb.slot_key[slot];
           if (!decode_record(recb, &rec) || rec.key != key ||
               rec.version != word.version ||
               rec.value != client_value(key, word.version, scfg.value_bytes)) {

@@ -66,13 +66,18 @@ class MultiControllerMemory {
   /// Controller a global address routes to. Public so epoch-replay drivers
   /// can pre-partition an access schedule by controller and then execute
   /// each controller's stream on its own worker thread.
-  unsigned route(Addr addr) const {
-    return static_cast<unsigned>((addr / interleave_) % mcs_.size());
-  }
+  unsigned route(Addr addr) const { return route(addr, interleave_, mcs_.size()); }
   /// Local (per-DIMM) address of a global address.
-  Addr local_addr(Addr addr) const {
-    const Addr chunk = addr / interleave_;
-    return (chunk / mcs_.size()) * interleave_ + (addr % interleave_);
+  Addr local_addr(Addr addr) const { return local_addr(addr, interleave_, mcs_.size()); }
+  /// The same mapping for any granularity and controller count, so a
+  /// schedule can be partitioned before (or without) building controllers.
+  /// One controller maps every address to itself.
+  static unsigned route(Addr addr, std::size_t interleave, std::size_t controllers) {
+    return static_cast<unsigned>((addr / interleave) % controllers);
+  }
+  static Addr local_addr(Addr addr, std::size_t interleave, std::size_t controllers) {
+    const Addr chunk = addr / interleave;
+    return (chunk / controllers) * interleave + (addr % interleave);
   }
   /// Record a controller's completion frontier reached outside read_block/
   /// write_block (epoch-replay drivers call controller(i) directly).

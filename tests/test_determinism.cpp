@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "kv/ycsb.hpp"
+#include "kv/serving.hpp"
 #include "nvm/nvm_device.hpp"
 #include "sim/experiment.hpp"
 #include "sim/multi_controller.hpp"
@@ -80,22 +80,23 @@ TEST(Determinism, MatrixJobsSweepIsBitIdentical) {
   }
 }
 
-// YCSB replay fans controllers out across worker threads; the merged
-// result (counts, histograms, makespan) must match the inline replay.
+// The YCSB preset's replay fans controllers out across worker threads;
+// the merged result (counts, histograms, makespan) must match the inline
+// replay.
 TEST(Determinism, YcsbParallelReplayIsBitIdentical) {
   const SystemConfig cfg = det_config();
-  kv::YcsbConfig ycfg;
+  kv::ServingConfig ycfg = kv::ycsb_preset();
   ycfg.mix = kv::Mix::kA;
   ycfg.clients = 4;
-  ycfg.controllers = 4;
+  ycfg.shards = 4;
   ycfg.ops = 8000;
   ycfg.keys = 2000;
   ycfg.slots = std::size_t{1} << 13;
-  const kv::YcsbResult seq = run_ycsb(cfg, Scheme::kSteins, ycfg);
+  const kv::ServingResult seq = run_sharded_serving(cfg, Scheme::kSteins, ycfg);
   for (const unsigned jobs : {2u, 4u}) {
-    kv::YcsbConfig pcfg = ycfg;
+    kv::ServingConfig pcfg = ycfg;
     pcfg.jobs = jobs;
-    const kv::YcsbResult par = run_ycsb(cfg, Scheme::kSteins, pcfg);
+    const kv::ServingResult par = run_sharded_serving(cfg, Scheme::kSteins, pcfg);
     const std::string where = "jobs=" + std::to_string(jobs);
     EXPECT_EQ(seq.ops, par.ops) << where;
     EXPECT_EQ(seq.reads, par.reads) << where;

@@ -9,7 +9,7 @@
 
 #include "kv/kv_crash.hpp"
 #include "kv/kv_store.hpp"
-#include "kv/ycsb.hpp"
+#include "kv/serving.hpp"
 #include "sim/system.hpp"
 #include "test_util.hpp"
 
@@ -195,8 +195,10 @@ TEST(KvCrash, RandomBoundaryIsDeterministicPerSeed) {
   EXPECT_TRUE(c.pass(Scheme::kSteins)) << c.detail;
 }
 
+// The multi-client YCSB preset of the serving engine (one interleaved
+// table, no group commit).
 TEST(YcsbDriver, MixesProduceExpectedShapes) {
-  YcsbConfig ycfg;
+  ServingConfig ycfg = ycsb_preset();
   ycfg.clients = 3;
   ycfg.ops = 2000;
   ycfg.keys = 200;
@@ -204,14 +206,14 @@ TEST(YcsbDriver, MixesProduceExpectedShapes) {
   const SystemConfig cfg = small_config();
 
   ycfg.mix = Mix::kC;
-  const YcsbResult ro = run_ycsb(cfg, Scheme::kSteins, ycfg);
+  const ServingResult ro = run_sharded_serving(cfg, Scheme::kSteins, ycfg);
   EXPECT_EQ(ro.reads, ycfg.ops);
   EXPECT_EQ(ro.updates, 0u);
   EXPECT_EQ(ro.all_lat.count(), ycfg.ops);
   EXPECT_GT(ro.kops_per_sec, 0.0);
 
   ycfg.mix = Mix::kA;
-  const YcsbResult rw = run_ycsb(cfg, Scheme::kSteins, ycfg);
+  const ServingResult rw = run_sharded_serving(cfg, Scheme::kSteins, ycfg);
   EXPECT_EQ(rw.reads + rw.updates, ycfg.ops);
   EXPECT_GT(rw.updates, ycfg.ops / 3);  // ~50% updates
   EXPECT_LT(rw.updates, 2 * ycfg.ops / 3);
@@ -220,22 +222,22 @@ TEST(YcsbDriver, MixesProduceExpectedShapes) {
   EXPECT_GE(rw.update_lat.percentile(50), ro.read_lat.percentile(50));
 
   // Determinism: identical config twice gives identical results.
-  const YcsbResult again = run_ycsb(cfg, Scheme::kSteins, ycfg);
+  const ServingResult again = run_sharded_serving(cfg, Scheme::kSteins, ycfg);
   EXPECT_EQ(again.makespan, rw.makespan);
   EXPECT_DOUBLE_EQ(again.kops_per_sec, rw.kops_per_sec);
 }
 
 TEST(YcsbDriver, RejectsNonsenseConfigs) {
   const SystemConfig cfg = small_config();
-  YcsbConfig ycfg;
+  ServingConfig ycfg = ycsb_preset();
   ycfg.clients = 0;
-  EXPECT_THROW(run_ycsb(cfg, Scheme::kSteins, ycfg), std::invalid_argument);
+  EXPECT_THROW(run_sharded_serving(cfg, Scheme::kSteins, ycfg), std::invalid_argument);
   ycfg.clients = 1;
   ycfg.slots = 1000;  // not a power of two
-  EXPECT_THROW(run_ycsb(cfg, Scheme::kSteins, ycfg), std::invalid_argument);
+  EXPECT_THROW(run_sharded_serving(cfg, Scheme::kSteins, ycfg), std::invalid_argument);
   ycfg.slots = 1024;
   ycfg.keys = 1024;  // over half full
-  EXPECT_THROW(run_ycsb(cfg, Scheme::kSteins, ycfg), std::invalid_argument);
+  EXPECT_THROW(run_sharded_serving(cfg, Scheme::kSteins, ycfg), std::invalid_argument);
 }
 
 TEST(YcsbDriver, ParsesMixNames) {

@@ -1,8 +1,10 @@
-// The concurrent sharded serving engine: jobs-sweep bit-identity, group
-// commit, load-aware routing, admission-queue overload shedding, and the
-// crash-at-access-boundary matrix under concurrent serving.
+// The KV serving engine: jobs-sweep bit-identity and the
+// crash-at-access-boundary matrix under every routing (hash, load-aware,
+// interleaved), group commit, load-aware balancing, admission-queue
+// overload shedding, and config validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -59,9 +61,12 @@ void expect_identical(const ServingResult& a, const ServingResult& b,
   }
 }
 
-TEST(KvServing, JobsSweepIsBitIdentical) {
+class KvServingRouted : public ::testing::TestWithParam<Routing> {};
+
+TEST_P(KvServingRouted, JobsSweepIsBitIdentical) {
   const SystemConfig cfg = small_config();
-  const ServingConfig base = small_serving(4);
+  ServingConfig base = small_serving(4);
+  base.routing = GetParam();
   ServingConfig scfg = base;
   scfg.jobs = 1;
   const ServingResult ref = run_sharded_serving(cfg, Scheme::kSteins, scfg);
@@ -151,12 +156,13 @@ TEST(KvServing, AdmissionOverflowShedsIntoDegradedVerdicts) {
   EXPECT_EQ(r.shed_ops, again.shed_ops);
 }
 
-TEST(KvServing, CrashBoundarySweepReportsZeroSilent) {
+TEST_P(KvServingRouted, CrashBoundarySweepReportsZeroSilent) {
   // Strided sweep over the global access sequence for every scheme; any
   // silent divergence fails. WriteBack passes by being detected as
   // unrecoverable.
   const SystemConfig cfg = small_config();
   ServingConfig scfg = small_serving(2, 900);
+  scfg.routing = GetParam();
   scfg.jobs = 2;
   for (const Scheme scheme : {Scheme::kWriteBack, Scheme::kAnubis, Scheme::kStar,
                               Scheme::kScue, Scheme::kSteins}) {
@@ -174,6 +180,15 @@ TEST(KvServing, CrashBoundarySweepReportsZeroSilent) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Routings, KvServingRouted,
+                         ::testing::Values(Routing::kHash, Routing::kLoadAware,
+                                           Routing::kInterleave),
+                         [](const ::testing::TestParamInfo<Routing>& info) {
+                           std::string name = routing_name(info.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 TEST(KvServing, CrashWithGroupCommitWindowHonorsDurableBoundary) {
   // A crash mid-window must expose exactly the commit-block writes that
@@ -237,6 +252,12 @@ TEST(KvServing, RejectsNonsenseConfigurations) {
   scfg = small_serving(2);
   scfg.keys = scfg.slots * 4;  // overflows the capacity guard
   EXPECT_THROW(run_sharded_serving(cfg, Scheme::kSteins, scfg), std::invalid_argument);
+  scfg = small_serving(2);
+  scfg.value_bytes = kMaxValueBytes + 1;  // would not fit a record
+  EXPECT_THROW(validate_serving_config(cfg, scfg), std::invalid_argument);
+  EXPECT_THROW(run_sharded_serving(cfg, Scheme::kSteins, scfg), std::invalid_argument);
+  scfg.value_bytes = kMaxValueBytes;
+  EXPECT_NO_THROW(validate_serving_config(cfg, scfg));
 }
 
 TEST(KvServingRouting, NamesRoundTrip) {
@@ -244,6 +265,8 @@ TEST(KvServingRouting, NamesRoundTrip) {
   EXPECT_EQ(parse_routing("load"), Routing::kLoadAware);
   EXPECT_EQ(parse_routing(routing_name(Routing::kHash)), Routing::kHash);
   EXPECT_EQ(parse_routing(routing_name(Routing::kLoadAware)), Routing::kLoadAware);
+  EXPECT_EQ(parse_routing("interleave"), Routing::kInterleave);
+  EXPECT_EQ(parse_routing(routing_name(Routing::kInterleave)), Routing::kInterleave);
   EXPECT_FALSE(parse_routing("round-robin").has_value());
 }
 

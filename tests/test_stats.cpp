@@ -1,4 +1,4 @@
-// Statistics plumbing: accumulators, counters, result tables.
+// Statistics plumbing: accumulators and result tables.
 #include <gtest/gtest.h>
 
 #include "common/stats.hpp"
@@ -17,17 +17,6 @@ TEST(LatencyAccumulator, MeanAndMax) {
   EXPECT_EQ(acc.max, 60u);
   acc.reset();
   EXPECT_EQ(acc.count, 0u);
-}
-
-TEST(StatSet, AccumulatesNamedCounters) {
-  StatSet s;
-  s.add("reads");
-  s.add("reads", 4);
-  s.add("writes", 2);
-  EXPECT_EQ(s.get("reads"), 5u);
-  EXPECT_EQ(s.get("writes"), 2u);
-  EXPECT_EQ(s.get("absent"), 0u);
-  EXPECT_EQ(s.all().size(), 2u);
 }
 
 TEST(ResultTable, RowsAndCsv) {

@@ -3,8 +3,10 @@
 //   steins_kv --mix a --clients 4 --crash
 //   steins_kv --scheme steins,scue --mix f --ops 200000 --json kv.json
 //
-// For each scheme it runs the closed-loop multi-client YCSB driver over
-// MultiControllerMemory (throughput + tail latency), and with --crash also
+// For each scheme it runs the KV serving engine (kv/serving.hpp) over
+// MultiControllerMemory — by default as its interleaved multi-client YCSB
+// preset, with --serve as one shard per controller — reporting throughput
+// and tail latency, and with --crash also
 // the KV crash-recovery validation: a deterministic op script killed at a
 // seeded-random persist boundary, recovered, reopened, and diffed against
 // the committed model. Steins/ASIT/STAR/SCUE must verify; WB must be
@@ -21,7 +23,6 @@
 #include "crypto/backend.hpp"
 #include "kv/kv_crash.hpp"
 #include "kv/serving.hpp"
-#include "kv/ycsb.hpp"
 
 using namespace steins;
 using namespace steins::kv;
@@ -74,11 +75,12 @@ void usage() {
       "  --jobs <n>           worker threads for controller replay (default\n"
       "                       STEINS_JOBS or hardware threads; any value is\n"
       "                       bit-identical to --jobs 1)\n"
-      "  --serve              run the concurrent sharded serving engine instead\n"
-      "                       of the interleaved YCSB driver (one worker thread\n"
-      "                       per shard; --jobs caps the threads, bit-identical)\n"
-      "  --shards <n>         serving shards == controllers (default 2)\n"
-      "  --routing <hash|load>  key->shard routing policy (default load)\n"
+      "  --serve              serve with --shards/--routing/--queue-depth/\n"
+      "                       --group-commit instead of the YCSB preset (one\n"
+      "                       table interleaved over --controllers, no group\n"
+      "                       commit); --jobs caps the threads, bit-identical\n"
+      "  --shards <n>         serving controllers (default 2)\n"
+      "  --routing <hash|load|interleave>  key->table routing (default load)\n"
       "  --queue-depth <n>    per-shard admitted ops per epoch; overflow sheds\n"
       "                       into typed degraded verdicts (default 0 = unbounded)\n"
       "  --group-commit <n>   commit words buffered per shard before one\n"
@@ -167,8 +169,7 @@ bool parse(int argc, char** argv, Options* opt) {
 
 struct SchemeOutcome {
   std::string label;
-  YcsbResult ycsb;
-  ServingResult serving;  // filled in --serve mode instead of ycsb
+  ServingResult serving;
   bool crash_ran = false;
   KvCrashReport crash;
   ServingCrashReport scrash;  // --serve --crash
@@ -249,11 +250,11 @@ void emit_json(const Options& opt, const SystemConfig& cfg,
       continue;
     }
     os << (i ? ",\n  " : "\n  ") << "{\"scheme\": \"" << json_escape(o.label)
-       << "\", \"kops_per_sec\": " << num(o.ycsb.kops_per_sec)
-       << ", \"reads\": " << o.ycsb.reads << ", \"updates\": " << o.ycsb.updates
-       << ", \"nvm_writes\": " << o.ycsb.nvm_writes
-       << ", \"all\": " << lat(o.ycsb.all_lat) << ", \"read\": " << lat(o.ycsb.read_lat)
-       << ", \"update\": " << lat(o.ycsb.update_lat);
+       << "\", \"kops_per_sec\": " << num(o.serving.kops_per_sec)
+       << ", \"reads\": " << o.serving.reads << ", \"updates\": " << o.serving.updates
+       << ", \"nvm_writes\": " << o.serving.nvm_writes
+       << ", \"all\": " << lat(o.serving.all_lat) << ", \"read\": " << lat(o.serving.read_lat)
+       << ", \"update\": " << lat(o.serving.update_lat);
     if (o.crash_ran) {
       os << ", \"crash\": {\"supported\": " << (o.crash.recovery_supported ? "true" : "false")
          << ", \"recovered\": " << (o.crash.recovery_ok ? "true" : "false")
@@ -299,18 +300,6 @@ int main(int argc, char** argv) {
   cfg.nvm.capacity_bytes = opt.capacity_mb << 20;
   cfg.secure.metadata_cache.size_bytes = opt.mcache_kb * 1024;
 
-  YcsbConfig ycfg;
-  ycfg.mix = *mix;
-  ycfg.clients = opt.clients;
-  ycfg.controllers = opt.controllers;
-  ycfg.ops = opt.ops;
-  ycfg.keys = opt.keys;
-  ycfg.slots = static_cast<std::size_t>(opt.slots);
-  ycfg.value_bytes = static_cast<std::size_t>(opt.value_bytes);
-  ycfg.zipf_s = opt.zipf_s;
-  ycfg.seed = opt.seed;
-  ycfg.jobs = opt.jobs;
-
   KvCrashOptions ccfg;
   ccfg.ops = opt.crash_ops;
   ccfg.seed = opt.seed;
@@ -320,14 +309,13 @@ int main(int argc, char** argv) {
 
   const std::optional<Routing> routing = parse_routing(opt.routing);
   if (opt.serve && !routing) {
-    std::fprintf(stderr, "unknown routing: %s (expected hash or load)\n",
+    std::fprintf(stderr, "unknown routing: %s (expected hash, load or interleave)\n",
                  opt.routing.c_str());
     return 2;
   }
-  ServingConfig scfg;
+  ServingConfig scfg = opt.serve ? ServingConfig{} : ycsb_preset();
   scfg.mix = *mix;
   scfg.clients = opt.clients;
-  scfg.shards = opt.shards;
   scfg.ops = opt.ops;
   scfg.keys = opt.keys;
   scfg.slots = static_cast<std::size_t>(opt.slots);
@@ -335,9 +323,20 @@ int main(int argc, char** argv) {
   scfg.zipf_s = opt.zipf_s;
   scfg.seed = opt.seed;
   scfg.jobs = opt.jobs;
-  if (routing) scfg.routing = *routing;
-  scfg.queue_depth = opt.queue_depth;
-  scfg.group_commit_window = opt.group_commit;
+  if (opt.serve) {
+    scfg.shards = opt.shards;
+    scfg.routing = *routing;
+    scfg.queue_depth = opt.queue_depth;
+    scfg.group_commit_window = opt.group_commit;
+  } else {
+    scfg.shards = opt.controllers;
+  }
+  try {
+    validate_serving_config(cfg, scfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "invalid configuration: %s\n", e.what());
+    return 2;
+  }
 
   std::vector<SchemeOutcome> outcomes;
   bool all_pass = true;
@@ -354,58 +353,14 @@ int main(int argc, char** argv) {
       std::printf("%-11s %10s %9s %9s %9s %8s %7s   %s\n", "scheme", "kops/s",
                   "p50_ns", "p99_ns", "p99.9_ns", "shed", "batch",
                   opt.crash ? "crash-recovery" : "");
-      for (const std::string& name : cli::split_csv(opt.schemes)) {
-        const auto scheme_opt = cli::parse_scheme(name);
-        if (!scheme_opt.has_value()) {
-          std::fprintf(stderr, "unknown scheme: %s (try --help)\n", name.c_str());
-          return 2;
-        }
-        const Scheme scheme = *scheme_opt;
-        SchemeOutcome o;
-        o.label = scheme_name(scheme, cfg.counter_mode);
-        o.serving = run_sharded_serving(cfg, scheme, scfg);
-        std::string crash_note;
-        if (opt.crash) {
-          o.crash_ran = true;
-          ServingCrashOptions sopt;  // random boundary from the seed
-          o.scrash = run_serving_crash(cfg, scheme, scfg, sopt);
-          o.crash_pass = o.scrash.pass(scheme);
-          all_pass = all_pass && o.crash_pass;
-          if (scheme == Scheme::kWriteBack) {
-            crash_note = o.crash_pass ? "unrecoverable (detected, as expected)"
-                                      : "FAIL: WB not detected as unrecoverable";
-          } else if (o.crash_pass) {
-            crash_note = "ok (crash at access " + std::to_string(o.scrash.crash_at) +
-                         "/" + std::to_string(o.scrash.total_accesses) + ", " +
-                         std::to_string(o.scrash.committed_slots) +
-                         " slots verified)";
-          } else {
-            crash_note = "FAIL: " + o.scrash.detail;
-          }
-        }
-        std::printf("%-11s %10.1f %9.0f %9.0f %9.0f %8llu %7.1f   %s\n",
-                    o.label.c_str(), o.serving.kops_per_sec,
-                    cycles_to_ns(cfg, o.serving.all_lat.percentile(50)),
-                    cycles_to_ns(cfg, o.serving.all_lat.percentile(99)),
-                    cycles_to_ns(cfg, o.serving.all_lat.percentile(99.9)),
-                    static_cast<unsigned long long>(o.serving.shed_ops),
-                    o.serving.batch_sizes.mean(), crash_note.c_str());
-        outcomes.push_back(std::move(o));
-      }
-      if (!opt.json_path.empty()) emit_json(opt, cfg, outcomes);
-      if (opt.crash && !all_pass) {
-        std::fprintf(stderr,
-                     "\ncrash-recovery validation FAILED for at least one scheme\n");
-        return 1;
-      }
-      return 0;
+    } else {
+      std::printf("KV service: mix %s, %u clients, %u controllers, %llu ops over %llu keys\n\n",
+                  mix_name(*mix), opt.clients, opt.controllers,
+                  static_cast<unsigned long long>(opt.ops),
+                  static_cast<unsigned long long>(opt.keys));
+      std::printf("%-11s %10s %9s %9s %9s %9s   %s\n", "scheme", "kops/s", "p50_ns",
+                  "p95_ns", "p99_ns", "p99.9_ns", opt.crash ? "crash-recovery" : "");
     }
-    std::printf("KV service: mix %s, %u clients, %u controllers, %llu ops over %llu keys\n\n",
-                mix_name(*mix), opt.clients, opt.controllers,
-                static_cast<unsigned long long>(opt.ops),
-                static_cast<unsigned long long>(opt.keys));
-    std::printf("%-11s %10s %9s %9s %9s %9s   %s\n", "scheme", "kops/s", "p50_ns",
-                "p95_ns", "p99_ns", "p99.9_ns", opt.crash ? "crash-recovery" : "");
     for (const std::string& name : cli::split_csv(opt.schemes)) {
       const auto scheme_opt = cli::parse_scheme(name);
       if (!scheme_opt.has_value()) {
@@ -415,17 +370,28 @@ int main(int argc, char** argv) {
       const Scheme scheme = *scheme_opt;
       SchemeOutcome o;
       o.label = scheme_name(scheme, cfg.counter_mode);
-      o.ycsb = run_ycsb(cfg, scheme, ycfg);
+      o.serving = run_sharded_serving(cfg, scheme, scfg);
       std::string crash_note;
       if (opt.crash) {
         o.crash_ran = true;
-        o.crash = run_kv_crash_validation(cfg, scheme, ccfg);
-        o.crash_pass = o.crash.pass(scheme);
+        if (opt.serve) {
+          o.scrash = run_serving_crash(cfg, scheme, scfg, ServingCrashOptions{});
+          o.crash_pass = o.scrash.pass(scheme);
+        } else {
+          o.crash = run_kv_crash_validation(cfg, scheme, ccfg);
+          o.crash_pass = o.crash.pass(scheme);
+        }
         all_pass = all_pass && o.crash_pass;
         if (scheme == Scheme::kWriteBack) {
           crash_note = o.crash_pass ? "unrecoverable (detected, as expected)"
                                     : "FAIL: WB not detected as unrecoverable";
-        } else if (o.crash_pass) {
+        } else if (!o.crash_pass) {
+          crash_note = "FAIL: " + (opt.serve ? o.scrash.detail : o.crash.detail);
+        } else if (opt.serve) {
+          crash_note = "ok (crash at access " + std::to_string(o.scrash.crash_at) + "/" +
+                       std::to_string(o.scrash.total_accesses) + ", " +
+                       std::to_string(o.scrash.committed_slots) + " slots verified)";
+        } else {
           crash_note = "ok (killed before persist " + std::to_string(o.crash.crash_at) +
                        "/" + std::to_string(o.crash.total_persists) + ", " +
                        std::to_string(o.crash.committed_keys) + " keys verified";
@@ -434,15 +400,23 @@ int main(int argc, char** argv) {
                           " recovery attempts";
           }
           crash_note += ")";
-        } else {
-          crash_note = "FAIL: " + o.crash.detail;
         }
       }
-      std::printf("%-11s %10.1f %9.0f %9.0f %9.0f %9.0f   %s\n", o.label.c_str(),
-                  o.ycsb.kops_per_sec, cycles_to_ns(cfg, o.ycsb.all_lat.percentile(50)),
-                  cycles_to_ns(cfg, o.ycsb.all_lat.percentile(95)),
-                  cycles_to_ns(cfg, o.ycsb.all_lat.percentile(99)),
-                  cycles_to_ns(cfg, o.ycsb.all_lat.percentile(99.9)), crash_note.c_str());
+      const ServingResult& r = o.serving;
+      if (opt.serve) {
+        std::printf("%-11s %10.1f %9.0f %9.0f %9.0f %8llu %7.1f   %s\n", o.label.c_str(),
+                    r.kops_per_sec, cycles_to_ns(cfg, r.all_lat.percentile(50)),
+                    cycles_to_ns(cfg, r.all_lat.percentile(99)),
+                    cycles_to_ns(cfg, r.all_lat.percentile(99.9)),
+                    static_cast<unsigned long long>(r.shed_ops), r.batch_sizes.mean(),
+                    crash_note.c_str());
+      } else {
+        std::printf("%-11s %10.1f %9.0f %9.0f %9.0f %9.0f   %s\n", o.label.c_str(),
+                    r.kops_per_sec, cycles_to_ns(cfg, r.all_lat.percentile(50)),
+                    cycles_to_ns(cfg, r.all_lat.percentile(95)),
+                    cycles_to_ns(cfg, r.all_lat.percentile(99)),
+                    cycles_to_ns(cfg, r.all_lat.percentile(99.9)), crash_note.c_str());
+      }
       outcomes.push_back(std::move(o));
     }
   } catch (const std::exception& e) {
