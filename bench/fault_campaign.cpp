@@ -54,9 +54,10 @@ int main(int argc, char** argv) {
     std::printf("wrote JSON results to %s\n", opt.json_path.c_str());
   }
 
-  if (result.silent_total() > 0) {
+  const std::uint64_t silent = result.totals()[Verdict::kSilent];
+  if (silent > 0) {
     std::fprintf(stderr, "\nFAIL: %llu silent-corruption verdict(s)\n",
-                 static_cast<unsigned long long>(result.silent_total()));
+                 static_cast<unsigned long long>(silent));
     return 1;
   }
   return 0;

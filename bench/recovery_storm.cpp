@@ -49,9 +49,9 @@ struct Cell {
   std::uint64_t cycles = 1;
   std::vector<MulticycleOutcome> outcomes;
 
-  std::map<FaultVerdict, std::uint64_t> verdicts() const {
-    std::map<FaultVerdict, std::uint64_t> out;
-    for (const MulticycleOutcome& o : outcomes) ++out[o.verdict];
+  VerdictCounts verdicts() const {
+    VerdictCounts out;
+    for (const MulticycleOutcome& o : outcomes) out.add(o.verdict);
     return out;
   }
   std::vector<double> all_attempts() const {
@@ -130,30 +130,23 @@ int main(int argc, char** argv) {
         run_multicycle_trial(cell.spec, cls, seed, trial, cell.cycles, w);
   });
 
-  std::uint64_t silent = 0;
-  std::uint64_t unrecoverable = 0;
+  VerdictCounts all;
   std::string cells_json;
   std::printf("%-12s %6s %10s %8s %8s %12s %12s %12s\n", "scheme", "cycles",
               "recovered", "retried", "other", "attempts-p50", "attempts-max",
               "rec-p99-ms");
   for (const Cell& cell : cells) {
-    const auto verdicts = cell.verdicts();
-    const auto count = [&](FaultVerdict v) -> std::uint64_t {
-      const auto it = verdicts.find(v);
-      return it == verdicts.end() ? 0 : it->second;
-    };
-    silent += count(FaultVerdict::kSilentCorruption);
-    unrecoverable += count(FaultVerdict::kRecoveryCrashUnrecoverable);
+    const VerdictCounts v = cell.verdicts();
+    all += v;
     const std::vector<double> attempts = cell.all_attempts();
     const std::vector<double> seconds = cell.all_seconds();
     const double a_p50 = percentile(attempts, 50);
     const double a_max = attempts.empty() ? 0.0
                                           : *std::max_element(attempts.begin(),
                                                               attempts.end());
-    const std::uint64_t recovered = count(FaultVerdict::kRecovered);
-    const std::uint64_t retried = count(FaultVerdict::kRecoveredAfterRetry);
-    const std::uint64_t other =
-        cell.outcomes.size() - recovered - retried;
+    const std::uint64_t recovered = v[Verdict::kRecovered];
+    const std::uint64_t retried = v[Verdict::kRecoveredAfterRetry];
+    const std::uint64_t other = v.total() - v.converged();
     std::printf("%-12s %6llu %10llu %8llu %8llu %12.1f %12.0f %12.4f\n",
                 cell.spec.label.c_str(), static_cast<unsigned long long>(cell.cycles),
                 static_cast<unsigned long long>(recovered),
@@ -164,7 +157,7 @@ int main(int argc, char** argv) {
       for (const MulticycleOutcome& o : cell.outcomes) {
         std::printf("  trial %llu -> %s (%s), %llu cycle(s)\n",
                     static_cast<unsigned long long>(o.trial),
-                    fault_verdict_name(o.verdict), o.detail.c_str(),
+                    verdict_name(o.verdict), o.detail.c_str(),
                     static_cast<unsigned long long>(o.cycles_run));
       }
     }
@@ -192,11 +185,10 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(cell.cycles), cell.outcomes.size(),
                   static_cast<unsigned long long>(recovered),
                   static_cast<unsigned long long>(retried),
-                  static_cast<unsigned long long>(count(FaultVerdict::kSalvaged)),
-                  static_cast<unsigned long long>(count(FaultVerdict::kDetected)),
-                  static_cast<unsigned long long>(count(FaultVerdict::kSilentCorruption)),
-                  static_cast<unsigned long long>(
-                      count(FaultVerdict::kRecoveryCrashUnrecoverable)),
+                  static_cast<unsigned long long>(v[Verdict::kSalvaged]),
+                  static_cast<unsigned long long>(v[Verdict::kDetected]),
+                  static_cast<unsigned long long>(v[Verdict::kSilent]),
+                  static_cast<unsigned long long>(v[Verdict::kUnrecoverable]),
                   a_p50, percentile(attempts, 99), a_max, hist_json.c_str(),
                   percentile(seconds, 50), percentile(seconds, 99));
     if (!cells_json.empty()) cells_json += ",\n  ";
@@ -224,11 +216,11 @@ int main(int argc, char** argv) {
     std::printf("\nwrote JSON results to %s\n", opt.json_path.c_str());
   }
 
-  if (silent > 0 || unrecoverable > 0) {
+  if (!all.clean()) {
     std::fprintf(stderr,
                  "\nFAIL: %llu silent-corruption + %llu unrecoverable verdict(s)\n",
-                 static_cast<unsigned long long>(silent),
-                 static_cast<unsigned long long>(unrecoverable));
+                 static_cast<unsigned long long>(all[Verdict::kSilent]),
+                 static_cast<unsigned long long>(all[Verdict::kUnrecoverable]));
     return 1;
   }
   return 0;

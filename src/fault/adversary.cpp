@@ -530,29 +530,10 @@ AttackCell AttackCampaignResult::cell(const std::string& scheme,
   AttackCell c;
   for (const AttackOutcome& o : outcomes) {
     if (o.trial.scheme != scheme || o.scenario != s) continue;
-    switch (o.trial.verdict) {
-      case FaultVerdict::kDetected:
-        ++c.detected;
-        c.latencies.push_back(o.trial.detect_latency);
-        ++c.layers[o.trial.detect_layer];
-        break;
-      case FaultVerdict::kRecovered:
-        ++c.recovered;
-        break;
-      case FaultVerdict::kSalvaged:
-        ++c.salvaged;
-        break;
-      case FaultVerdict::kSilentCorruption:
-        ++c.silent;
-        break;
-      case FaultVerdict::kRecoveredAfterRetry:
-        // Attack trials don't arm nested recovery crashes; fold a retried
-        // convergence into recovered, and a give-up into the failure bucket.
-        ++c.recovered;
-        break;
-      case FaultVerdict::kRecoveryCrashUnrecoverable:
-        ++c.silent;
-        break;
+    c.verdicts.add(o.trial.verdict);
+    if (o.trial.verdict == Verdict::kDetected) {
+      c.latencies.push_back(o.trial.detect_latency);
+      ++c.layers[o.trial.detect_layer];
     }
     if (o.trial.faults_injected > 0) ++c.injected;
     c.blast_lines.push_back(o.trial.blast_lines + o.trial.blast_subtrees);
@@ -567,7 +548,7 @@ AttackCell AttackCampaignResult::cell(const std::string& scheme,
 std::uint64_t AttackCampaignResult::silent_total() const {
   std::uint64_t n = 0;
   for (const AttackOutcome& o : outcomes) {
-    if (o.trial.verdict == FaultVerdict::kSilentCorruption) ++n;
+    if (o.trial.verdict == Verdict::kSilent) ++n;
   }
   return n;
 }
@@ -575,7 +556,7 @@ std::uint64_t AttackCampaignResult::silent_total() const {
 std::vector<const AttackOutcome*> AttackCampaignResult::silent_outcomes() const {
   std::vector<const AttackOutcome*> out;
   for (const AttackOutcome& o : outcomes) {
-    if (o.trial.verdict == FaultVerdict::kSilentCorruption) out.push_back(&o);
+    if (o.trial.verdict == Verdict::kSilent) out.push_back(&o);
   }
   return out;
 }
@@ -595,13 +576,15 @@ void AttackCampaignResult::print(bool verbose, std::FILE* out) const {
   for (const SchemeSpec& spec : options.schemes) {
     std::fprintf(out, "%-*s", label_w, spec.label.c_str());
     for (const AdversaryScenario s : options.scenarios) {
-      const AttackCell c = cell(spec.label, s);
+      const VerdictCounts c = cell(spec.label, s).verdicts;
       char buf[48];
+      // Attack trials arm no nested recovery crash: a retried convergence
+      // folds into recovered and a give-up into the failure bucket.
       std::snprintf(buf, sizeof buf, "%llu/%llu/%llu/%llu",
-                    static_cast<unsigned long long>(c.detected),
-                    static_cast<unsigned long long>(c.recovered),
-                    static_cast<unsigned long long>(c.salvaged),
-                    static_cast<unsigned long long>(c.silent));
+                    static_cast<unsigned long long>(c[Verdict::kDetected]),
+                    static_cast<unsigned long long>(c.converged()),
+                    static_cast<unsigned long long>(c[Verdict::kSalvaged]),
+                    static_cast<unsigned long long>(c.failed()));
       std::fprintf(out, " %17s", buf);
     }
     std::fprintf(out, "\n");
@@ -610,7 +593,7 @@ void AttackCampaignResult::print(bool verbose, std::FILE* out) const {
   for (const SchemeSpec& spec : options.schemes) {
     for (const AdversaryScenario s : options.scenarios) {
       const AttackCell c = cell(spec.label, s);
-      if (c.total() == 0) continue;
+      if (c.verdicts.total() == 0) continue;
       std::string layers;
       for (const auto& [layer, n] : c.layers) {
         layers += (layers.empty() ? "" : ",") + layer + ":" + std::to_string(n);
@@ -620,7 +603,7 @@ void AttackCampaignResult::print(bool verbose, std::FILE* out) const {
                    "  blast-lines p95 %llu  blast-blocks p95 %llu  [%s]\n",
                    spec.label.c_str(), adversary_scenario_name(s),
                    static_cast<unsigned long long>(c.injected),
-                   static_cast<unsigned long long>(c.total()),
+                   static_cast<unsigned long long>(c.verdicts.total()),
                    static_cast<unsigned long long>(percentile(c.latencies, 50)),
                    static_cast<unsigned long long>(percentile(c.latencies, 95)),
                    static_cast<unsigned long long>(
@@ -647,7 +630,7 @@ void AttackCampaignResult::print(bool verbose, std::FILE* out) const {
     for (const AttackOutcome& o : outcomes) {
       std::fprintf(out, "trial %llu %s %s -> %s layer=%s lat=%llu blast=%llu/%llu/%llu%s%s%s\n",
                    static_cast<unsigned long long>(o.trial.trial), o.trial.scheme.c_str(),
-                   adversary_scenario_name(o.scenario), fault_verdict_name(o.trial.verdict),
+                   adversary_scenario_name(o.scenario), verdict_name(o.trial.verdict),
                    o.trial.detect_layer.empty() ? "-" : o.trial.detect_layer.c_str(),
                    static_cast<unsigned long long>(o.trial.detect_latency),
                    static_cast<unsigned long long>(o.trial.blast_lines),
@@ -677,11 +660,12 @@ std::string AttackCampaignResult::to_json() const {
   for (const SchemeSpec& spec : options.schemes) {
     for (const AdversaryScenario s : options.scenarios) {
       const AttackCell c = cell(spec.label, s);
-      if (c.total() == 0) continue;
+      const VerdictCounts& v = c.verdicts;
+      if (v.total() == 0) continue;
       os << (first ? "" : ",") << "\n  {\"scheme\": \"" << json_escape(spec.label)
          << "\", \"scenario\": \"" << adversary_scenario_name(s)
-         << "\", \"detected\": " << c.detected << ", \"recovered\": " << c.recovered
-         << ", \"salvaged\": " << c.salvaged << ", \"silent_corruption\": " << c.silent
+         << "\", \"detected\": " << v[Verdict::kDetected] << ", \"recovered\": " << v.converged()
+         << ", \"salvaged\": " << v[Verdict::kSalvaged] << ", \"silent_corruption\": " << v.failed()
          << ", \"injected\": " << c.injected
          << ",\n   \"detect_latency\": {\"p50\": " << percentile(c.latencies, 50)
          << ", \"p95\": " << percentile(c.latencies, 95)

@@ -133,17 +133,12 @@ struct AttackCampaignOptions {
 /// One (scheme, scenario) cell of the verdict matrix, with the detection
 /// telemetry the verdicts alone do not carry.
 struct AttackCell {
-  std::uint64_t detected = 0;
-  std::uint64_t recovered = 0;
-  std::uint64_t salvaged = 0;
-  std::uint64_t silent = 0;
+  VerdictCounts verdicts;
   std::uint64_t injected = 0;  // trials whose mutation actually landed
   std::vector<std::uint64_t> latencies;     // per detected trial, sorted
   std::vector<std::uint64_t> blast_lines;   // per trial, sorted
   std::vector<std::uint64_t> blast_blocks;  // per trial, sorted
   std::map<std::string, std::uint64_t> layers;  // detect_layer histogram
-
-  std::uint64_t total() const { return detected + recovered + salvaged + silent; }
 };
 
 /// p-th percentile (0-100) of a sorted sample; 0 for an empty one.

@@ -46,24 +46,6 @@ std::string classify_detect_layer(const std::string& detail) {
   return "recovery";
 }
 
-const char* fault_verdict_name(FaultVerdict v) {
-  switch (v) {
-    case FaultVerdict::kDetected:
-      return "detected";
-    case FaultVerdict::kRecovered:
-      return "recovered";
-    case FaultVerdict::kSalvaged:
-      return "salvaged";
-    case FaultVerdict::kSilentCorruption:
-      return "silent-corruption";
-    case FaultVerdict::kRecoveredAfterRetry:
-      return "recovered-after-retry";
-    case FaultVerdict::kRecoveryCrashUnrecoverable:
-      return "recovery-crash-unrecoverable";
-  }
-  return "?";
-}
-
 std::vector<SchemeSpec> campaign_schemes(CounterMode mode) {
   if (mode == CounterMode::kSplit) {
     return {{Scheme::kSteins, CounterMode::kSplit, scheme_name(Scheme::kSteins, mode)}};
@@ -120,13 +102,13 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
     return injected_at.has_value() ? accesses - *injected_at : 0;
   };
   const auto detected = [&](std::string detail, std::string layer) {
-    out.verdict = FaultVerdict::kDetected;
+    out.verdict = Verdict::kDetected;
     out.detail = std::move(detail);
     out.detect_layer = std::move(layer);
     out.detect_latency = latency();
   };
   const auto silent = [&](std::string detail) {
-    out.verdict = FaultVerdict::kSilentCorruption;
+    out.verdict = Verdict::kSilent;
     out.detail = std::move(detail);
   };
   // Blast radius after the trial settled (whatever the verdict): retired
@@ -291,29 +273,19 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
     out.recovery_attempts = r.attempt_count();
     out.recovery_seconds = r.seconds;
     out.resume_cursor = r.resume_cursor;
-    if (r.recovery_gave_up) {
-      // The bounded retry budget ran out with the machine still down: an
-      // availability failure, reported as its own verdict.
-      out.verdict = FaultVerdict::kRecoveryCrashUnrecoverable;
-      out.detail = r.status.message();
+    CrashVerdict cv;
+    cv.faulted = cls != FaultClass::kNone || hooks != nullptr;
+    if (classify_recovery(r, &cv)) {
+      out.verdict = cv.verdict(spec.scheme);
+      if (out.verdict == Verdict::kDetected) {
+        detected(std::move(cv.detail),
+                 r.supported ? classify_detect_layer(r.attack_detail) : "unsupported");
+      } else {
+        out.detail = std::move(cv.detail);
+      }
       return true;
     }
-    if (!r.status.ok()) {
-      // The salvage contract: recovery never aborts — an error Status
-      // smuggled out of it is an internal failure, scored as the bug it is.
-      silent("recovery internal error: " + r.status.to_string());
-      return true;
-    }
-    if (!r.supported) {
-      detected("scheme reports recovery unsupported", "unsupported");
-      return true;
-    }
-    if (r.attack_detected) {
-      detected("recovery flagged: " + r.attack_detail,
-               classify_detect_layer(r.attack_detail));
-      return true;
-    }
-    bool degraded = r.degraded() || runtime_degraded;
+    bool degraded = cv.salvaged || runtime_degraded;
     std::uint64_t unavailable_reads = 0;
 
     // Full audit: every block the workload ever wrote must read back as an
@@ -397,7 +369,7 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
     }
 
     if (degraded) {
-      out.verdict = FaultVerdict::kSalvaged;
+      out.verdict = Verdict::kSalvaged;
       out.detail = r.summary();
       if (unavailable_reads > 0) {
         out.detail +=
@@ -406,12 +378,12 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
       return true;
     }
     if (out.recovery_attempts > 1) {
-      out.verdict = FaultVerdict::kRecoveredAfterRetry;
+      out.verdict = Verdict::kRecoveredAfterRetry;
       out.detail = "converged after " + std::to_string(out.recovery_attempts) +
                    " recovery attempts";
       return true;
     }
-    out.verdict = FaultVerdict::kRecovered;
+    out.verdict = Verdict::kRecovered;
     return true;
   }();
   (void)done;
@@ -479,7 +451,7 @@ MulticycleOutcome run_multicycle_trial(const SchemeSpec& spec, FaultClass cls,
       for (std::uint64_t i = 0; i < workload.ops; ++i) run_op(pick_addr(), rng.chance(0.75));
       base->flush_all_metadata();
     } catch (const IntegrityViolation& e) {
-      out.verdict = FaultVerdict::kSilentCorruption;
+      out.verdict = Verdict::kSilent;
       out.detail = "cycle " + std::to_string(c) + " workload raised: " + e.what();
       return out;
     }
@@ -487,7 +459,7 @@ MulticycleOutcome run_multicycle_trial(const SchemeSpec& spec, FaultClass cls,
     try {
       for (std::uint64_t i = 0; i < workload.ops / 2; ++i) run_op(pick_addr(), rng.chance(0.9));
     } catch (const IntegrityViolation& e) {
-      out.verdict = FaultVerdict::kSilentCorruption;
+      out.verdict = Verdict::kSilent;
       out.detail = "cycle " + std::to_string(c) + " burst raised: " + e.what();
       return out;
     }
@@ -515,24 +487,17 @@ MulticycleOutcome run_multicycle_trial(const SchemeSpec& spec, FaultClass cls,
     out.attempts_per_cycle.push_back(r.attempt_count());
     out.recovery_seconds_per_cycle.push_back(r.seconds);
     if (r.attempt_count() > 1) retried = true;
-    if (r.recovery_gave_up) {
-      out.verdict = FaultVerdict::kRecoveryCrashUnrecoverable;
-      out.detail = "cycle " + std::to_string(c) + ": " + r.status.message();
+    CrashVerdict cv;
+    cv.faulted = cls != FaultClass::kNone || hooks != nullptr;
+    if (classify_recovery(r, &cv)) {
+      out.verdict = cv.verdict(spec.scheme);
+      out.detail = "cycle " + std::to_string(c) + ": " + cv.detail;
+      if (out.verdict == Verdict::kDetected && !events.empty()) {
+        out.detail += " [" + events + "]";
+      }
       return out;
     }
-    if (r.attack_detected) {
-      out.verdict = FaultVerdict::kDetected;
-      out.detail = "cycle " + std::to_string(c) + " recovery flagged: " + r.attack_detail;
-      if (!events.empty()) out.detail += " [" + events + "]";
-      return out;
-    }
-    if (!r.status.ok()) {
-      out.verdict = FaultVerdict::kSilentCorruption;
-      out.detail = "cycle " + std::to_string(c) + " recovery internal error: " +
-                   r.status.to_string();
-      return out;
-    }
-    degraded = degraded || r.degraded();
+    degraded = degraded || cv.salvaged;
 
     // Audit: every written block serves an authentic version from
     // [checkpoint, latest] (or refuses with a typed error when degraded).
@@ -541,7 +506,7 @@ MulticycleOutcome run_multicycle_trial(const SchemeSpec& spec, FaultClass cls,
       try {
         now = mem->read_block(addr, now, &got);
       } catch (const IntegrityViolation& e) {
-        out.verdict = FaultVerdict::kDetected;
+        out.verdict = Verdict::kDetected;
         out.detail = "cycle " + std::to_string(c) + " audit read raised: " + e.what();
         return out;
       } catch (const StatusError& e) {
@@ -549,7 +514,7 @@ MulticycleOutcome run_multicycle_trial(const SchemeSpec& spec, FaultClass cls,
           degraded = true;
           continue;
         }
-        out.verdict = FaultVerdict::kSilentCorruption;
+        out.verdict = Verdict::kSilent;
         out.detail = "cycle " + std::to_string(c) + " audit read crashed: " + e.what();
         return out;
       }
@@ -560,7 +525,7 @@ MulticycleOutcome run_multicycle_trial(const SchemeSpec& spec, FaultClass cls,
                       (v >= std::max<std::uint64_t>(cp, 1) && v <= latest &&
                        got == trial_pattern_block(addr, v));
       if (!ok) {
-        out.verdict = FaultVerdict::kSilentCorruption;
+        out.verdict = Verdict::kSilent;
         out.detail = "cycle " + std::to_string(c) + " block " +
                      std::to_string(addr / kBlockSize) + " read unauthentic state (v" +
                      std::to_string(v) + ", window [" + std::to_string(cp) + ", " +
@@ -572,10 +537,10 @@ MulticycleOutcome run_multicycle_trial(const SchemeSpec& spec, FaultClass cls,
     }
   }
 
-  out.verdict = degraded  ? FaultVerdict::kSalvaged
-                : retried ? FaultVerdict::kRecoveredAfterRetry
-                          : FaultVerdict::kRecovered;
-  if (out.verdict == FaultVerdict::kRecoveredAfterRetry) {
+  out.verdict = degraded  ? Verdict::kSalvaged
+                : retried ? Verdict::kRecoveredAfterRetry
+                          : Verdict::kRecovered;
+  if (out.verdict == Verdict::kRecoveredAfterRetry) {
     std::uint64_t total_attempts = 0;
     for (const std::uint64_t a : out.attempts_per_cycle) total_attempts += a;
     out.detail = std::to_string(out.cycles_run) + " cycles, " +
@@ -627,70 +592,24 @@ CampaignResult run_fault_campaign(const CampaignOptions& opts) {
   return result;
 }
 
-CampaignCell CampaignResult::cell(const std::string& scheme, FaultClass cls) const {
-  CampaignCell c;
+VerdictCounts CampaignResult::cell(const std::string& scheme, FaultClass cls) const {
+  VerdictCounts c;
   for (const TrialOutcome& o : outcomes) {
-    if (o.scheme != scheme || o.cls != cls) continue;
-    switch (o.verdict) {
-      case FaultVerdict::kDetected:
-        ++c.detected;
-        break;
-      case FaultVerdict::kRecovered:
-        ++c.recovered;
-        break;
-      case FaultVerdict::kSalvaged:
-        ++c.salvaged;
-        break;
-      case FaultVerdict::kSilentCorruption:
-        ++c.silent;
-        break;
-      case FaultVerdict::kRecoveredAfterRetry:
-        ++c.recovered_retry;
-        break;
-      case FaultVerdict::kRecoveryCrashUnrecoverable:
-        ++c.unrecoverable;
-        break;
-    }
+    if (o.scheme == scheme && o.cls == cls) c.add(o.verdict);
   }
   return c;
 }
 
-std::uint64_t CampaignResult::silent_total() const {
-  std::uint64_t n = 0;
-  for (const TrialOutcome& o : outcomes) {
-    if (o.verdict == FaultVerdict::kSilentCorruption) ++n;
-  }
-  return n;
-}
-
-std::uint64_t CampaignResult::salvaged_total() const {
-  std::uint64_t n = 0;
-  for (const TrialOutcome& o : outcomes) {
-    if (o.verdict == FaultVerdict::kSalvaged) ++n;
-  }
-  return n;
-}
-
-std::uint64_t CampaignResult::retried_total() const {
-  std::uint64_t n = 0;
-  for (const TrialOutcome& o : outcomes) {
-    if (o.verdict == FaultVerdict::kRecoveredAfterRetry) ++n;
-  }
-  return n;
-}
-
-std::uint64_t CampaignResult::unrecoverable_total() const {
-  std::uint64_t n = 0;
-  for (const TrialOutcome& o : outcomes) {
-    if (o.verdict == FaultVerdict::kRecoveryCrashUnrecoverable) ++n;
-  }
-  return n;
+VerdictCounts CampaignResult::totals() const {
+  VerdictCounts c;
+  for (const TrialOutcome& o : outcomes) c.add(o.verdict);
+  return c;
 }
 
 std::vector<const TrialOutcome*> CampaignResult::silent_outcomes() const {
   std::vector<const TrialOutcome*> out;
   for (const TrialOutcome& o : outcomes) {
-    if (o.verdict == FaultVerdict::kSilentCorruption) out.push_back(&o);
+    if (o.verdict == Verdict::kSilent) out.push_back(&o);
   }
   return out;
 }
@@ -710,35 +629,38 @@ void CampaignResult::print(bool verbose, std::FILE* out) const {
   for (const SchemeSpec& s : options.schemes) {
     std::fprintf(out, "%-*s", label_w, s.label.c_str());
     for (const FaultClass cls : options.classes) {
-      const CampaignCell c = cell(s.label, cls);
+      const VerdictCounts c = cell(s.label, cls);
       char buf[48];
       // Retried-but-converged counts as recovered in the matrix; the
       // summary line below breaks the re-entry outcomes out separately.
       std::snprintf(buf, sizeof buf, "%llu/%llu/%llu/%llu",
-                    static_cast<unsigned long long>(c.detected),
-                    static_cast<unsigned long long>(c.recovered + c.recovered_retry),
-                    static_cast<unsigned long long>(c.salvaged),
-                    static_cast<unsigned long long>(c.silent + c.unrecoverable));
+                    static_cast<unsigned long long>(c[Verdict::kDetected]),
+                    static_cast<unsigned long long>(c.converged()),
+                    static_cast<unsigned long long>(c[Verdict::kSalvaged]),
+                    static_cast<unsigned long long>(c.failed()));
       std::fprintf(out, " %17s", buf);
     }
     std::fprintf(out, "\n");
   }
-  const std::uint64_t silent = silent_total();
-  const std::uint64_t unrecoverable = unrecoverable_total();
+  const VerdictCounts all = totals();
+  const std::uint64_t silent = all[Verdict::kSilent];
+  const std::uint64_t retried = all[Verdict::kRecoveredAfterRetry];
+  const std::uint64_t unrecoverable = all[Verdict::kUnrecoverable];
   std::fprintf(out,
                "\ntrials: %llu x %zu schemes  salvaged: %llu  silent-corruption: %llu\n",
                static_cast<unsigned long long>(
                    options.only_trial.has_value() ? 1 : options.trials),
-               options.schemes.size(), static_cast<unsigned long long>(salvaged_total()),
+               options.schemes.size(),
+               static_cast<unsigned long long>(all[Verdict::kSalvaged]),
                static_cast<unsigned long long>(silent));
-  if (retried_total() > 0 || unrecoverable > 0) {
+  if (retried > 0 || unrecoverable > 0) {
     std::fprintf(out, "re-entrant recovery: recovered-after-retry: %llu  unrecoverable: %llu\n",
-                 static_cast<unsigned long long>(retried_total()),
+                 static_cast<unsigned long long>(retried),
                  static_cast<unsigned long long>(unrecoverable));
   }
   if (unrecoverable > 0) {
     for (const TrialOutcome& o : outcomes) {
-      if (o.verdict != FaultVerdict::kRecoveryCrashUnrecoverable) continue;
+      if (o.verdict != Verdict::kUnrecoverable) continue;
       std::fprintf(out, "UNRECOVERABLE trial %llu scheme %s class %s: %s (%llu attempts)\n",
                    static_cast<unsigned long long>(o.trial), o.scheme.c_str(),
                    fault_class_name(o.cls), o.detail.c_str(),
@@ -756,7 +678,7 @@ void CampaignResult::print(bool verbose, std::FILE* out) const {
     for (const TrialOutcome& o : outcomes) {
       std::fprintf(out, "trial %llu %s %s -> %s%s%s%s%s\n",
                    static_cast<unsigned long long>(o.trial), o.scheme.c_str(),
-                   fault_class_name(o.cls), fault_verdict_name(o.verdict),
+                   fault_class_name(o.cls), verdict_name(o.verdict),
                    o.detail.empty() ? "" : " (", o.detail.c_str(),
                    o.detail.empty() ? "" : ")",
                    o.events.empty() ? "" : (" faults: " + o.events).c_str());
@@ -781,21 +703,24 @@ std::string CampaignResult::to_json() const {
   bool first = true;
   for (const SchemeSpec& s : options.schemes) {
     for (const FaultClass cls : options.classes) {
-      const CampaignCell c = cell(s.label, cls);
+      const VerdictCounts c = cell(s.label, cls);
       if (c.total() == 0) continue;
       os << (first ? "" : ",") << "\n  {\"scheme\": \"" << json_escape(s.label)
-         << "\", \"class\": \"" << fault_class_name(cls) << "\", \"detected\": " << c.detected
-         << ", \"recovered\": " << c.recovered << ", \"salvaged\": " << c.salvaged
-         << ", \"silent_corruption\": " << c.silent
-         << ", \"recovered_after_retry\": " << c.recovered_retry
-         << ", \"unrecoverable\": " << c.unrecoverable << "}";
+         << "\", \"class\": \"" << fault_class_name(cls)
+         << "\", \"detected\": " << c[Verdict::kDetected]
+         << ", \"recovered\": " << c[Verdict::kRecovered]
+         << ", \"salvaged\": " << c[Verdict::kSalvaged]
+         << ", \"silent_corruption\": " << c[Verdict::kSilent]
+         << ", \"recovered_after_retry\": " << c[Verdict::kRecoveredAfterRetry]
+         << ", \"unrecoverable\": " << c[Verdict::kUnrecoverable] << "}";
       first = false;
     }
   }
-  os << "\n ],\n \"salvaged_total\": " << salvaged_total()
-     << ",\n \"retried_total\": " << retried_total()
-     << ",\n \"unrecoverable_total\": " << unrecoverable_total()
-     << ",\n \"silent_total\": " << silent_total() << ",\n \"silent_trials\": [";
+  const VerdictCounts all = totals();
+  os << "\n ],\n \"salvaged_total\": " << all[Verdict::kSalvaged]
+     << ",\n \"retried_total\": " << all[Verdict::kRecoveredAfterRetry]
+     << ",\n \"unrecoverable_total\": " << all[Verdict::kUnrecoverable]
+     << ",\n \"silent_total\": " << all[Verdict::kSilent] << ",\n \"silent_trials\": [";
   const auto silents = silent_outcomes();
   for (std::size_t i = 0; i < silents.size(); ++i) {
     const TrialOutcome* o = silents[i];

@@ -1,30 +1,7 @@
 // Fault-injection campaigns: N seeded trials x schemes x fault classes,
-// each trial ending in a three-way verdict.
-//
-//   detected           the fault surfaced as an integrity violation — at
-//                      recovery or on a post-recovery read — or the scheme
-//                      declared itself unrecoverable (WB);
-//   recovered          recovery ran clean and every block read back as an
-//                      authentic committed version: at least the checkpoint
-//                      (the last full flush), at most the latest write;
-//   salvaged           recovery completed in degraded mode: unverifiable
-//                      lines/subtrees were quarantined, every surviving
-//                      block read back authentic, and reads of quarantined
-//                      blocks failed with a *typed* unavailable error
-//                      (never wrong plaintext);
-//   silent-corruption  wrong plaintext served without any check firing, a
-//                      rollback past the checkpoint, or an unexpected crash
-//                      of the recovery code. Always a real bug.
-//
-// With a nested recovery crash armed (DESIGN.md §17) two more verdicts
-// appear:
-//
-//   recovered-after-retry        recovery itself crashed at an armed persist
-//                                boundary, was re-entered, and converged to
-//                                a clean audit (>= 2 attempts);
-//   recovery-crash-unrecoverable the bounded retry budget ran out with the
-//                                machine still down — an availability
-//                                failure, never acceptable in a sweep.
+// each trial ending in one crash verdict (fault/verdict.hpp holds the
+// taxonomy: recovered, recovered-after-retry, salvaged, detected, silent,
+// unrecoverable).
 //
 // Trials are pure functions of (campaign seed, trial index): the workload,
 // the crash point, and every injected fault derive from them, so a verdict
@@ -39,20 +16,10 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "fault/verdict.hpp"
 #include "sim/experiment.hpp"
 
 namespace steins {
-
-enum class FaultVerdict {
-  kDetected,
-  kRecovered,
-  kSalvaged,
-  kSilentCorruption,
-  kRecoveredAfterRetry,
-  kRecoveryCrashUnrecoverable,
-};
-
-const char* fault_verdict_name(FaultVerdict v);
 
 /// Workload shape of one trial (small enough that thousands of trials —
 /// each with its own scheme instance and SCUE's whole-tree recovery — stay
@@ -92,7 +59,7 @@ struct TrialOutcome {
   std::uint64_t trial = 0;
   FaultClass cls = FaultClass::kNone;
   std::string scheme;  // SchemeSpec label
-  FaultVerdict verdict = FaultVerdict::kRecovered;
+  Verdict verdict = Verdict::kRecovered;
   std::string detail;  // which check fired / what went silently wrong
   std::string events;  // injected fault log (capped)
   std::uint64_t faults_injected = 0;
@@ -131,28 +98,14 @@ struct CampaignOptions {
   std::optional<std::uint64_t> only_trial;  // reproduce one trial index
 };
 
-/// One (scheme, class) cell of the verdict matrix.
-struct CampaignCell {
-  std::uint64_t detected = 0;
-  std::uint64_t recovered = 0;
-  std::uint64_t salvaged = 0;
-  std::uint64_t silent = 0;
-  std::uint64_t recovered_retry = 0;  // converged only after re-entry
-  std::uint64_t unrecoverable = 0;    // retry budget exhausted, machine down
-  std::uint64_t total() const {
-    return detected + recovered + salvaged + silent + recovered_retry + unrecoverable;
-  }
-};
-
 struct CampaignResult {
   CampaignOptions options;  // with schemes/classes resolved to their defaults
   std::vector<TrialOutcome> outcomes;  // trial-major, scheme-minor order
 
-  CampaignCell cell(const std::string& scheme, FaultClass cls) const;
-  std::uint64_t silent_total() const;
-  std::uint64_t salvaged_total() const;
-  std::uint64_t retried_total() const;        // recovered-after-retry trials
-  std::uint64_t unrecoverable_total() const;  // retry budget exhausted
+  /// One (scheme, class) cell of the verdict matrix.
+  VerdictCounts cell(const std::string& scheme, FaultClass cls) const;
+  /// Every trial's verdict, across all cells.
+  VerdictCounts totals() const;
   std::vector<const TrialOutcome*> silent_outcomes() const;
 
   /// Verdict matrix (+ silent trial details when verbose).
@@ -221,7 +174,7 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
 struct MulticycleOutcome {
   std::uint64_t trial = 0;
   std::string scheme;
-  FaultVerdict verdict = FaultVerdict::kRecovered;
+  Verdict verdict = Verdict::kRecovered;
   std::string detail;
   std::uint64_t cycles_run = 0;
   std::uint64_t faults_injected = 0;

@@ -198,30 +198,7 @@ KvCrashReport run_kv_crash_validation(const SystemConfig& base_cfg, Scheme schem
     return report;
   }
   sys.set_fault_injector(nullptr);
-  report.recovery_supported = r.supported;
-  report.recovery_ok = r.ok();
-  report.recovery_seconds = r.seconds;
-  report.recovery_attempts = r.attempt_count();
-  report.recovery_gave_up = r.recovery_gave_up;
-  if (r.recovery_gave_up) {
-    report.detail = "recovery retry budget exhausted: ";
-    report.detail += r.status.message();
-    return report;
-  }
-  if (!r.supported) {
-    report.detail = "scheme reports recovery unsupported";
-    return report;
-  }
-  if (!r.status.ok()) {
-    report.detail = "recovery internal error: " + r.status.to_string();
-    return report;
-  }
-  if (r.attack_detected) {
-    report.fault_detected = report.faulted;
-    report.detail = "recovery flagged: " + r.attack_detail;
-    return report;
-  }
-  report.salvaged = r.degraded();
+  if (classify_recovery(r, &report)) return report;
 
   // Reboot: reconcile the application-visible image with NVM, reopen the
   // store over the surviving region, and diff against the model.
@@ -248,27 +225,8 @@ KvCrashReport run_kv_crash_validation(const SystemConfig& base_cfg, Scheme schem
     // fail with a *typed* unavailable error; a silent wrong/missing value
     // still fails. Keys the store can read that the model never committed
     // fail too (an uncommitted record became visible).
-    for (const auto& [key, value] : model) {
-      const auto got = reopened.try_get(key);
-      if (!got.has_value()) {
-        if (!is_unavailable(got.status().code())) {
-          report.detail = "salvaged get of key " + std::to_string(key) +
-                          " failed untyped: " + got.status().to_string();
-          return report;
-        }
-        ++report.keys_unavailable;
-        continue;
-      }
-      if (!got.value().has_value()) {
-        report.detail = "committed key " + std::to_string(key) +
-                        " silently missing after salvage";
-        return report;
-      }
-      if (*got.value() != value) {
-        report.detail = "committed key " + std::to_string(key) +
-                        " has wrong value after salvage";
-        return report;
-      }
+    if (!salvage_committed_keys(reopened, model, &report.keys_unavailable, &report.detail)) {
+      return report;
     }
     const KvStore::DegradedDump dump = reopened.dump_degraded();
     for (const auto& [key, value] : dump.live) {

@@ -8,7 +8,8 @@
 // invisible until its commit-word persist, and between operations the
 // store holds no unpersisted dirty state. Schemes with persistent-security
 // metadata (Steins/ASIT/STAR/SCUE) must pass the diff; write-back must be
-// *detected* as unrecoverable (RecoveryResult::supported == false).
+// *detected* as unrecoverable (RecoveryResult::supported == false). The
+// report scores itself with the shared CrashVerdict (fault/verdict.hpp).
 #pragma once
 
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include "common/config.hpp"
 #include "fault/adversary.hpp"
 #include "fault/fault.hpp"
+#include "fault/verdict.hpp"
 #include "secure/secure_memory.hpp"
 
 namespace steins::kv {
@@ -53,38 +55,13 @@ struct KvCrashOptions {
   std::uint64_t adversary_seed = 0;
 };
 
-struct KvCrashReport {
-  bool recovery_supported = false;  // scheme claims post-crash recovery
-  bool recovery_ok = false;         // recovery ran clean (no attack flagged)
-  bool verified = false;            // recovered image == committed model
-  bool salvaged = false;            // recovery degraded but attack-free
-  bool degraded_verified = false;   // every readable key matched the model
+struct KvCrashReport : CrashVerdict {
   std::uint64_t keys_unavailable = 0;  // committed keys behind typed errors
   std::uint64_t total_persists = 0; // barriers in the full script
   std::uint64_t crash_at = 0;       // barrier the run was killed before
   std::uint64_t committed_keys = 0; // model size at the crash point
-  double recovery_seconds = 0.0;    // modeled recovery time
-  std::uint64_t recovery_attempts = 1;  // re-entries the recovery took
-  bool recovery_gave_up = false;        // retry budget exhausted (never OK)
-  bool faulted = false;             // a fault/adversary was armed at the crash
-  bool fault_detected = false;      // an integrity check caught the fault
   bool adversary_injected = false;  // the scenario's mutation actually landed
   std::string adversary_events;     // what the adversary mutated
-  std::string detail;               // first mismatch / failure description
-
-  /// WB passes by being detected as unrecoverable; everything else passes
-  /// by recovering a verified image. Under an injected fault, detection
-  /// (recovery refusing the image, or a MAC/tree check firing on reopen)
-  /// is equally legal, and so is a *salvage*: a degraded recovery where
-  /// every committed key either reads back exactly or fails with a typed
-  /// unavailable error — only silent divergence from the model fails.
-  bool pass(Scheme scheme) const {
-    if (recovery_gave_up) return false;  // availability failure, always red
-    if (scheme == Scheme::kWriteBack) return !recovery_supported;
-    if (recovery_ok && verified) return true;
-    if (salvaged && degraded_verified) return true;
-    return faulted && fault_detected;
-  }
 };
 
 /// Run the validation once. `base_cfg` supplies the scheme configuration;

@@ -223,30 +223,7 @@ LsmCrashReport run_one(const SystemConfig& base_cfg, Scheme scheme,
     return report;
   }
   sys.set_fault_injector(nullptr);
-  report.recovery_supported = r.supported;
-  report.recovery_ok = r.ok();
-  report.recovery_seconds = r.seconds;
-  report.recovery_attempts = r.attempt_count();
-  report.recovery_gave_up = r.recovery_gave_up;
-  if (r.recovery_gave_up) {
-    report.detail = "recovery retry budget exhausted: ";
-    report.detail += r.status.message();
-    return report;
-  }
-  if (!r.supported) {
-    report.detail = "scheme reports recovery unsupported";
-    return report;
-  }
-  if (!r.status.ok()) {
-    report.detail = "recovery internal error: " + r.status.to_string();
-    return report;
-  }
-  if (r.attack_detected) {
-    report.fault_detected = report.faulted;
-    report.detail = "recovery flagged: " + r.attack_detail;
-    return report;
-  }
-  report.salvaged = r.degraded();
+  if (classify_recovery(r, &report)) return report;
 
   try {
     sys.resync_truth_after_crash();
@@ -314,32 +291,11 @@ LsmCrashReport run_one(const SystemConfig& base_cfg, Scheme scheme,
 
     // Salvage diff: every committed key must read back exactly or fail
     // with a typed unavailable error; silent divergence fails.
-    std::uint64_t runs_unavailable = 0;
-    for (const auto& [key, value] : model) {
-      const auto got = reopened.try_get(key);
-      if (!got.has_value()) {
-        if (!is_unavailable(got.status().code())) {
-          report.detail = "salvaged get of key " + std::to_string(key) +
-                          " failed untyped: " + got.status().to_string();
-          return report;
-        }
-        ++report.keys_unavailable;
-        continue;
-      }
-      if (!got.value().has_value()) {
-        report.detail = "committed key " + std::to_string(key) +
-                        " silently missing after salvage";
-        return report;
-      }
-      if (*got.value() != value) {
-        report.detail = "committed key " + std::to_string(key) +
-                        " has wrong value after salvage";
-        return report;
-      }
+    if (!salvage_committed_keys(reopened, model, &report.keys_unavailable, &report.detail)) {
+      return report;
     }
     const LsmStore::DegradedDump dump = reopened.dump_degraded();
-    runs_unavailable = dump.runs_unavailable;
-    if (runs_unavailable == 0) {
+    if (dump.runs_unavailable == 0) {
       // With every run readable the merged view is authoritative: nothing
       // uncommitted may appear. (With runs missing, older values legally
       // resurface in the merge — the per-key check above already proved
@@ -364,17 +320,6 @@ LsmCrashReport run_one(const SystemConfig& base_cfg, Scheme scheme,
 }
 
 }  // namespace
-
-const char* lsm_crash_verdict(const LsmCrashReport& report, Scheme scheme) {
-  if (report.recovery_gave_up) return "unrecoverable";
-  if (scheme == Scheme::kWriteBack) {
-    return report.recovery_supported ? "silent" : "detected";
-  }
-  if (report.recovery_ok && report.verified) return "recovered";
-  if (report.salvaged && report.degraded_verified) return "salvaged";
-  if (report.faulted && report.fault_detected) return "detected";
-  return "silent";
-}
 
 LsmCrashReport run_lsm_crash_validation(const SystemConfig& base_cfg, Scheme scheme,
                                         const LsmCrashOptions& opt) {
@@ -403,8 +348,7 @@ LsmCrashMatrix run_lsm_crash_matrix(const SystemConfig& base_cfg, Scheme scheme,
   const std::vector<ScriptOp> script = make_script(opt);
   const DryRun dry = dry_run(base_cfg, scheme, opt, script);
   if (!dry.ok) {
-    matrix.trials = 1;
-    matrix.silent = 1;
+    matrix.counts.add(Verdict::kSilent);
     matrix.failures.emplace_back(0, dry.detail);
     return matrix;
   }
@@ -432,22 +376,9 @@ LsmCrashMatrix run_lsm_crash_matrix(const SystemConfig& base_cfg, Scheme scheme,
   // Deterministic tally merge in boundary order.
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const LsmCrashReport& r = reports[i];
-    ++matrix.trials;
     ++matrix.stage_trials[r.crash_stage];
-    const std::string verdict = lsm_crash_verdict(r, scheme);
-    if (verdict == "recovered") {
-      ++matrix.recovered;
-    } else if (verdict == "detected") {
-      ++matrix.detected;
-    } else if (verdict == "salvaged") {
-      ++matrix.salvaged;
-    } else if (verdict == "unrecoverable") {
-      ++matrix.unrecoverable;
-      matrix.failures.emplace_back(boundaries[i], r.detail);
-    } else {
-      ++matrix.silent;
-      matrix.failures.emplace_back(boundaries[i], r.detail);
-    }
+    if (!r.pass(scheme)) matrix.failures.emplace_back(boundaries[i], r.detail);
+    matrix.counts.add(r.verdict(scheme));
   }
   return matrix;
 }

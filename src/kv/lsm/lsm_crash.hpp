@@ -25,6 +25,7 @@
 #include "common/config.hpp"
 #include "fault/adversary.hpp"
 #include "fault/fault.hpp"
+#include "fault/verdict.hpp"
 #include "kv/lsm/lsm_store.hpp"
 #include "secure/secure_memory.hpp"
 
@@ -73,62 +74,31 @@ struct LsmCrashOptions {
                    /*verify_runs_on_open=*/true, /*merge_jobs=*/1};
 };
 
-struct LsmCrashReport {
-  bool recovery_supported = false;  // scheme claims post-crash recovery
-  bool recovery_ok = false;         // recovery ran clean (no attack flagged)
-  bool verified = false;            // recovered image == committed model
-  bool salvaged = false;            // recovery degraded but attack-free
-  bool degraded_verified = false;   // every readable key matched the model
+/// Scored with the shared CrashVerdict, exactly as KvCrashReport.
+struct LsmCrashReport : CrashVerdict {
   std::uint64_t keys_unavailable = 0;
   std::uint64_t total_persists = 0;
   std::uint64_t crash_at = 0;
   std::string crash_stage;          // persist stage of the fatal boundary
   std::uint64_t committed_keys = 0;
-  double recovery_seconds = 0.0;
-  std::uint64_t recovery_attempts = 1;  // re-entries the recovery took
-  bool recovery_gave_up = false;        // retry budget exhausted (never OK)
-  bool faulted = false;
-  bool fault_detected = false;
   bool adversary_injected = false;  // the scenario's mutation actually landed
   std::string adversary_events;     // what the adversary mutated
   bool wal_torn = false;            // reopen found a torn WAL tail
   std::uint64_t flushes = 0;        // engine flushes before the crash
   std::uint64_t compactions = 0;
-  std::string detail;
-
-  /// Same pass contract as KvCrashReport: WB passes by being detected as
-  /// unrecoverable, secure schemes pass by exact recovery, verified
-  /// salvage, or detection of an injected fault.
-  bool pass(Scheme scheme) const {
-    if (recovery_gave_up) return false;  // availability failure, always red
-    if (scheme == Scheme::kWriteBack) return !recovery_supported;
-    if (recovery_ok && verified) return true;
-    if (salvaged && degraded_verified) return true;
-    return faulted && fault_detected;
-  }
 };
-
-/// "recovered", "detected", "salvaged", "silent", or (with a nested
-/// recovery crash armed and the retry budget exhausted) "unrecoverable".
-/// `silent` and `unrecoverable` are the forbidden outcomes.
-const char* lsm_crash_verdict(const LsmCrashReport& report, Scheme scheme);
 
 /// Run the validation once at opt.crash_at (or a seeded-random boundary).
 LsmCrashReport run_lsm_crash_validation(const SystemConfig& base_cfg, Scheme scheme,
                                         const LsmCrashOptions& opt);
 
 struct LsmCrashMatrix {
-  std::uint64_t trials = 0;
-  std::uint64_t recovered = 0;
-  std::uint64_t detected = 0;
-  std::uint64_t salvaged = 0;
-  std::uint64_t silent = 0;         // must stay 0
-  std::uint64_t unrecoverable = 0;  // must stay 0
+  VerdictCounts counts;  // one per trial; must stay clean()
   std::uint64_t total_persists = 0;
   /// Crash boundaries visited per persist stage ("wal", "flush-data", ...)
   /// — proves the sweep actually covered every protocol step.
   std::map<std::string, std::uint64_t> stage_trials;
-  /// First failing boundary and its detail, when silent > 0.
+  /// Every failing (silent or unrecoverable) boundary and its detail.
   std::vector<std::pair<std::uint64_t, std::string>> failures;
 };
 

@@ -696,27 +696,7 @@ ServingCrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
 
   const RecoveryResult r = mem.crash_and_recover_all(scfg.jobs);
   for (std::uint32_t s = 0; s < scfg.shards; ++s) mem.set_fault_injector(s, nullptr);
-  rep.recovery_supported = r.supported;
-  rep.recovery_ok = r.ok();
-  rep.recovery_seconds = r.seconds;
-  if (!r.supported) {
-    rep.detail = "scheme reports recovery unsupported";
-    return rep;
-  }
-  if (r.recovery_gave_up) {
-    rep.detail = "recovery retry budget exhausted: " + r.status.message();
-    return rep;
-  }
-  if (!r.status.ok()) {
-    rep.detail = "recovery internal error: " + r.status.to_string();
-    return rep;
-  }
-  if (r.attack_detected) {
-    rep.fault_detected = rep.faulted;
-    rep.detail = "recovery flagged: " + r.attack_detail;
-    return rep;
-  }
-  rep.salvaged = r.degraded();
+  if (classify_recovery(r, &rep)) return rep;
 
   // Diff the recovered image against the durable commit state: every
   // durable commit word must read back EXACTLY (a diverging word is a

@@ -68,6 +68,7 @@
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "fault/fault.hpp"
+#include "fault/verdict.hpp"
 #include "kv/kv_store.hpp"
 #include "secure/secure_memory.hpp"
 
@@ -182,31 +183,13 @@ struct ServingCrashOptions {
   std::uint64_t fault_seed = 0;
 };
 
-struct ServingCrashReport {
+/// Scored with the shared CrashVerdict (fault/verdict.hpp), exactly as
+/// KvCrashReport: `verified` is an exact durable diff with no salvage.
+struct ServingCrashReport : CrashVerdict {
   std::uint64_t total_accesses = 0;
   std::uint64_t crash_at = 0;
   std::uint64_t committed_slots = 0;   // durable live slots at the crash
-  bool recovery_supported = false;
-  bool recovery_ok = false;
-  bool verified = false;               // durable diff exact, no salvage
-  bool salvaged = false;               // recovery degraded but attack-free
-  bool degraded_verified = false;      // readable slots all matched
   std::uint64_t slots_unavailable = 0; // durable slots behind typed errors
-  bool faulted = false;
-  bool fault_detected = false;
-  double recovery_seconds = 0.0;
-  std::string detail;
-
-  /// Same verdict shape as KvCrashReport: WB passes by being detected as
-  /// unrecoverable; others pass on exact verification, verified salvage,
-  /// or (under an injected fault) detection. Silent divergence never
-  /// passes.
-  bool pass(Scheme scheme) const {
-    if (scheme == Scheme::kWriteBack) return !recovery_supported;
-    if (recovery_ok && verified) return true;
-    if (salvaged && degraded_verified) return true;
-    return faulted && fault_detected;
-  }
 };
 
 /// Plan the full run once to learn the access count, then re-run it with

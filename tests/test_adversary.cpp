@@ -118,11 +118,11 @@ TEST(AdversaryDetection, SteinsCatchesEveryRollbackAtLIncOrHmacLayer) {
                                     AdversaryScenario::kNvBypassReplay}) {
     for (std::uint64_t trial = 0; trial < 4; ++trial) {
       const AttackOutcome o = run_attack_trial(steins, s, 42, trial, w);
-      ASSERT_NE(o.trial.verdict, FaultVerdict::kSilentCorruption)
+      ASSERT_NE(o.trial.verdict, Verdict::kSilent)
           << adversary_scenario_name(s) << " trial " << trial << ": " << o.trial.detail;
       ASSERT_GE(o.trial.faults_injected, 1u)
           << adversary_scenario_name(s) << " trial " << trial << " was a no-op";
-      ASSERT_EQ(o.trial.verdict, FaultVerdict::kDetected)
+      ASSERT_EQ(o.trial.verdict, Verdict::kDetected)
           << adversary_scenario_name(s) << " trial " << trial
           << " replay not detected: " << o.trial.detail;
       EXPECT_TRUE(kReplayOrTamperLayers.count(o.trial.detect_layer))
@@ -147,8 +147,8 @@ TEST(AdversaryDetection, RecordEraseIsCaughtByLIncsAndPlantingIsHarmless) {
   for (std::uint64_t trial = 0; trial < 8; ++trial) {
     const AttackOutcome o =
         run_attack_trial(steins, AdversaryScenario::kRecordForgery, 42, trial, w);
-    ASSERT_NE(o.trial.verdict, FaultVerdict::kSilentCorruption) << o.trial.detail;
-    if (o.trial.verdict == FaultVerdict::kDetected) {
+    ASSERT_NE(o.trial.verdict, Verdict::kSilent) << o.trial.detail;
+    if (o.trial.verdict == Verdict::kDetected) {
       EXPECT_EQ(o.trial.detect_layer, "recovery-linc") << o.trial.detail;
       ++detected;
     }
@@ -162,8 +162,8 @@ TEST(AdversaryDetection, TornRecordNeverSilent) {
   for (std::uint64_t trial = 0; trial < 4; ++trial) {
     const AttackOutcome o =
         run_attack_trial(steins, AdversaryScenario::kTornRecord, 42, trial, w);
-    ASSERT_NE(o.trial.verdict, FaultVerdict::kSilentCorruption) << o.trial.detail;
-    if (o.trial.verdict == FaultVerdict::kDetected) {
+    ASSERT_NE(o.trial.verdict, Verdict::kSilent) << o.trial.detail;
+    if (o.trial.verdict == Verdict::kDetected) {
       EXPECT_TRUE(kReplayOrTamperLayers.count(o.trial.detect_layer))
           << o.trial.detect_layer;
     }
@@ -180,8 +180,8 @@ TEST(AdversaryDetection, RuntimeDataReplayArmsTheLatencyClock) {
   for (std::uint64_t trial = 0; trial < 4; ++trial) {
     const AttackOutcome o =
         run_attack_trial(steins, AdversaryScenario::kDataReplay, 42, trial, w);
-    ASSERT_NE(o.trial.verdict, FaultVerdict::kSilentCorruption) << o.trial.detail;
-    if (o.trial.verdict == FaultVerdict::kDetected && o.trial.detect_latency > 0) {
+    ASSERT_NE(o.trial.verdict, Verdict::kSilent) << o.trial.detail;
+    if (o.trial.verdict == Verdict::kDetected && o.trial.detect_latency > 0) {
       positive_latency = true;
     }
   }
@@ -197,7 +197,7 @@ TEST(AdversaryDetection, WriteBackDeclaresItselfUnrecoverable) {
                                     AdversaryScenario::kRecordForgery,
                                     AdversaryScenario::kDataReplay}) {
     const AttackOutcome o = run_attack_trial(wb, s, 42, 0, w);
-    EXPECT_EQ(o.trial.verdict, FaultVerdict::kDetected) << adversary_scenario_name(s);
+    EXPECT_EQ(o.trial.verdict, Verdict::kDetected) << adversary_scenario_name(s);
     EXPECT_EQ(o.trial.detect_layer, "unsupported") << adversary_scenario_name(s);
   }
 }

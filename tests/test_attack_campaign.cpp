@@ -39,8 +39,8 @@ TEST(AttackCampaign, MatrixHasNoSilentCorruptionAndEveryCellInjects) {
   for (const SchemeSpec& spec : result.options.schemes) {
     for (const AdversaryScenario s : result.options.scenarios) {
       const AttackCell c = result.cell(spec.label, s);
-      ASSERT_EQ(c.total(), 2u) << spec.label;
-      EXPECT_EQ(c.silent, 0u)
+      ASSERT_EQ(c.verdicts.total(), 2u) << spec.label;
+      EXPECT_EQ(c.verdicts.failed(), 0u)
           << spec.label << " / " << adversary_scenario_name(s);
       EXPECT_GE(c.injected, 1u) << spec.label << " / "
                                 << adversary_scenario_name(s)
@@ -53,11 +53,12 @@ TEST(AttackCampaign, MatrixHasNoSilentCorruptionAndEveryCellInjects) {
   // casualty at runtime before recovery gets to declare itself.)
   for (const AdversaryScenario s : result.options.scenarios) {
     const AttackCell c = result.cell("WB-GC", s);
-    EXPECT_EQ(c.detected, c.total()) << adversary_scenario_name(s);
+    EXPECT_EQ(c.verdicts[Verdict::kDetected], c.verdicts.total())
+        << adversary_scenario_name(s);
     if (s == AdversaryScenario::kWearOut) continue;
     const auto it = c.layers.find("unsupported");
     ASSERT_NE(it, c.layers.end()) << adversary_scenario_name(s);
-    EXPECT_EQ(it->second, c.total());
+    EXPECT_EQ(it->second, c.verdicts.total());
   }
   // The JSON record carries the per-cell telemetry the CI gate consumes.
   const std::string json = result.to_json();

@@ -205,7 +205,7 @@ TEST(FaultTrial, SingleTrialReproducesBitForBit) {
   EXPECT_EQ(a.detail, b.detail);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.faults_injected, b.faults_injected);
-  EXPECT_NE(a.verdict, FaultVerdict::kSilentCorruption);
+  EXPECT_NE(a.verdict, Verdict::kSilent);
 }
 
 }  // namespace

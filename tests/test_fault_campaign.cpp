@@ -24,7 +24,7 @@ CampaignOptions small_campaign() {
 
 TEST(FaultCampaign, MatrixHasNoSilentCorruption) {
   const CampaignResult result = run_fault_campaign(small_campaign());
-  EXPECT_EQ(result.silent_total(), 0u) << [&] {
+  EXPECT_EQ(result.totals()[Verdict::kSilent], 0u) << [&] {
     std::string all;
     for (const TrialOutcome* o : result.silent_outcomes()) {
       all += o->scheme + "/" + fault_class_name(o->cls) + " trial " +

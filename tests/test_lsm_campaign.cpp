@@ -30,9 +30,9 @@ TEST(LsmCampaign, ExhaustiveBoundarySweepEveryScheme) {
                               Scheme::kSteins, Scheme::kScue}) {
     const LsmCrashMatrix m = run_lsm_crash_matrix(small_config(), scheme, opt,
                                                   /*stride=*/1, /*jobs=*/4);
-    EXPECT_EQ(m.silent, 0u) << "scheme " << static_cast<int>(scheme) << "\n"
-                            << matrix_failures(m);
-    EXPECT_EQ(m.trials, m.total_persists + 1);
+    EXPECT_EQ(m.counts[Verdict::kSilent], 0u)
+        << "scheme " << static_cast<int>(scheme) << "\n" << matrix_failures(m);
+    EXPECT_EQ(m.counts.total(), m.total_persists + 1);
     // Every protocol stage must appear in the sweep.
     for (const char* stage :
          {"wal", "flush-data", "flush-footer", "compact-data", "compact-footer",
@@ -60,7 +60,7 @@ TEST(LsmCampaign, FaultFoldedCrashesNeverSilent) {
         EXPECT_TRUE(r.pass(scheme))
             << "scheme " << static_cast<int>(scheme) << " fault "
             << fault_class_name(cls) << " trial " << trial << ": " << r.detail;
-        EXPECT_NE(std::string(lsm_crash_verdict(r, scheme)), "silent");
+        EXPECT_NE(r.verdict(scheme), Verdict::kSilent);
       }
     }
   }
@@ -76,7 +76,7 @@ TEST(LsmCampaign, ManifestLossSweepAlwaysDetected) {
       opt.manifest_loss = true;
       const LsmCrashReport r = run_lsm_crash_validation(small_config(), scheme, opt);
       EXPECT_TRUE(r.pass(scheme)) << "boundary " << boundary << ": " << r.detail;
-      EXPECT_EQ(std::string(lsm_crash_verdict(r, scheme)), "detected")
+      EXPECT_EQ(r.verdict(scheme), Verdict::kDetected)
           << "scheme " << static_cast<int>(scheme) << " boundary " << boundary;
     }
   }

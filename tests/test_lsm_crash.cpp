@@ -28,13 +28,14 @@ TEST(LsmCrash, StridedSweepHasNoSilentCorruptionPerScheme) {
                               Scheme::kSteins, Scheme::kScue}) {
     const LsmCrashMatrix m =
         run_lsm_crash_matrix(small_config(), scheme, opt, /*stride=*/17, /*jobs=*/1);
-    EXPECT_GT(m.trials, 4u);
-    EXPECT_EQ(m.silent, 0u) << "scheme " << static_cast<int>(scheme) << "\n"
-                            << matrix_failures(m);
+    EXPECT_GT(m.counts.total(), 4u);
+    EXPECT_EQ(m.counts[Verdict::kSilent], 0u)
+        << "scheme " << static_cast<int>(scheme) << "\n" << matrix_failures(m);
     if (scheme == Scheme::kWriteBack) {
-      EXPECT_EQ(m.detected, m.trials);  // WB: every crash detected unrecoverable
+      // WB: every crash detected unrecoverable
+      EXPECT_EQ(m.counts[Verdict::kDetected], m.counts.total());
     } else {
-      EXPECT_EQ(m.recovered + m.salvaged, m.trials);
+      EXPECT_EQ(m.counts.converged() + m.counts[Verdict::kSalvaged], m.counts.total());
     }
   }
 }
@@ -50,7 +51,7 @@ TEST(LsmCrash, SweepCoversEveryPersistStage) {
                             "compact-footer", "manifest-data", "manifest-commit"}) {
     EXPECT_TRUE(m.stage_trials.contains(stage)) << "stage " << stage << " never hit";
   }
-  EXPECT_EQ(m.silent, 0u) << matrix_failures(m);
+  EXPECT_EQ(m.counts[Verdict::kSilent], 0u) << matrix_failures(m);
 }
 
 TEST(LsmCrash, SingleBoundaryReportsReproduce) {
@@ -64,8 +65,7 @@ TEST(LsmCrash, SingleBoundaryReportsReproduce) {
   EXPECT_EQ(a.crash_stage, b.crash_stage);
   EXPECT_EQ(a.committed_keys, b.committed_keys);
   EXPECT_EQ(a.total_persists, b.total_persists);
-  EXPECT_EQ(std::string(lsm_crash_verdict(a, Scheme::kSteins)),
-            std::string(lsm_crash_verdict(b, Scheme::kSteins)));
+  EXPECT_EQ(a.verdict(Scheme::kSteins), b.verdict(Scheme::kSteins));
 }
 
 TEST(LsmCrash, MatrixIsDeterministicAcrossJobCounts) {
@@ -75,11 +75,11 @@ TEST(LsmCrash, MatrixIsDeterministicAcrossJobCounts) {
       run_lsm_crash_matrix(small_config(), Scheme::kSteins, opt, 29, /*jobs=*/1);
   const LsmCrashMatrix par =
       run_lsm_crash_matrix(small_config(), Scheme::kSteins, opt, 29, /*jobs=*/4);
-  EXPECT_EQ(seq.trials, par.trials);
-  EXPECT_EQ(seq.recovered, par.recovered);
-  EXPECT_EQ(seq.detected, par.detected);
-  EXPECT_EQ(seq.salvaged, par.salvaged);
-  EXPECT_EQ(seq.silent, par.silent);
+  EXPECT_EQ(seq.counts.total(), par.counts.total());
+  EXPECT_EQ(seq.counts.converged(), par.counts.converged());
+  EXPECT_EQ(seq.counts[Verdict::kDetected], par.counts[Verdict::kDetected]);
+  EXPECT_EQ(seq.counts[Verdict::kSalvaged], par.counts[Verdict::kSalvaged]);
+  EXPECT_EQ(seq.counts[Verdict::kSilent], par.counts[Verdict::kSilent]);
   EXPECT_EQ(seq.stage_trials, par.stage_trials);
 }
 
@@ -94,7 +94,7 @@ TEST(LsmCrash, ManifestLossIsDetectedNeverServed) {
     EXPECT_TRUE(r.pass(scheme)) << r.detail;
     EXPECT_TRUE(r.fault_detected) << "scheme " << static_cast<int>(scheme)
                                   << " served a lost manifest: " << r.detail;
-    EXPECT_EQ(std::string(lsm_crash_verdict(r, scheme)), "detected");
+    EXPECT_EQ(r.verdict(scheme), Verdict::kDetected);
   }
 }
 

@@ -13,6 +13,8 @@
 #include "fault/campaign.hpp"
 #include "fault/differential.hpp"
 #include "fault/fault.hpp"
+#include "kv/kv_crash.hpp"
+#include "kv/lsm/lsm_crash.hpp"
 #include "schemes/bmt.hpp"
 #include "schemes/steins.hpp"
 #include "test_util.hpp"
@@ -237,7 +239,7 @@ TEST(ReentrantCampaign, NestedCrashYieldsRecoveredAfterRetry) {
   const SchemeSpec spec{Scheme::kSteins, CounterMode::kGeneral,
                         scheme_name(Scheme::kSteins, CounterMode::kGeneral)};
   const TrialOutcome out = run_fault_trial(spec, FaultClass::kNone, 5, 0, w);
-  EXPECT_EQ(out.verdict, FaultVerdict::kRecoveredAfterRetry) << out.detail;
+  EXPECT_EQ(out.verdict, Verdict::kRecoveredAfterRetry) << out.detail;
   EXPECT_EQ(out.recovery_attempts, 2u);
   EXPECT_GT(out.recovery_seconds, 0.0);
 }
@@ -251,7 +253,7 @@ TEST(ReentrantCampaign, ExhaustedBudgetYieldsUnrecoverable) {
   const SchemeSpec spec{Scheme::kSteins, CounterMode::kGeneral,
                         scheme_name(Scheme::kSteins, CounterMode::kGeneral)};
   const TrialOutcome out = run_fault_trial(spec, FaultClass::kNone, 5, 0, w);
-  EXPECT_EQ(out.verdict, FaultVerdict::kRecoveryCrashUnrecoverable) << out.detail;
+  EXPECT_EQ(out.verdict, Verdict::kUnrecoverable) << out.detail;
   EXPECT_EQ(out.recovery_attempts, 1u);
 }
 
@@ -260,7 +262,7 @@ TEST(ReentrantCampaign, MulticycleCleanTrialRecovers) {
                         scheme_name(Scheme::kSteins, CounterMode::kGeneral)};
   const MulticycleOutcome out =
       run_multicycle_trial(spec, FaultClass::kNone, 5, 0, 3, small_trial_workload());
-  EXPECT_EQ(out.verdict, FaultVerdict::kRecovered) << out.detail;
+  EXPECT_EQ(out.verdict, Verdict::kRecovered) << out.detail;
   EXPECT_EQ(out.cycles_run, 3u);
   ASSERT_EQ(out.attempts_per_cycle.size(), 3u);
   for (const std::uint64_t a : out.attempts_per_cycle) EXPECT_EQ(a, 1u);
@@ -273,10 +275,51 @@ TEST(ReentrantCampaign, MulticycleNestedCrashEveryCycleConverges) {
   const SchemeSpec spec{Scheme::kSteins, CounterMode::kGeneral,
                         scheme_name(Scheme::kSteins, CounterMode::kGeneral)};
   const MulticycleOutcome out = run_multicycle_trial(spec, FaultClass::kNone, 5, 0, 3, w);
-  EXPECT_EQ(out.verdict, FaultVerdict::kRecoveredAfterRetry) << out.detail;
+  EXPECT_EQ(out.verdict, Verdict::kRecoveredAfterRetry) << out.detail;
   EXPECT_EQ(out.cycles_run, 3u);
   ASSERT_EQ(out.attempts_per_cycle.size(), 3u);
   for (const std::uint64_t a : out.attempts_per_cycle) EXPECT_EQ(a, 2u);
+}
+
+// The KV and LSM crash harnesses score a budget-exhausting nested crash
+// through the same verdict: unrecoverable, never a pass, and it dirties the
+// LSM matrix tally.
+
+TEST(ReentrantCampaign, KvHarnessExhaustedBudgetIsUnrecoverable) {
+  kv::KvCrashOptions opt;
+  opt.ops = 24;
+  opt.crash_at = 12;
+  opt.recovery_crash_boundary = 1;
+  opt.recovery_crash_rearm = true;
+  opt.retry_policy.max_recovery_attempts = 2;
+  opt.retry_policy.exponential_backoff = false;
+  const kv::KvCrashReport r = kv::run_kv_crash_validation(small_config(), Scheme::kSteins, opt);
+  EXPECT_TRUE(r.recovery_gave_up) << r.detail;
+  EXPECT_EQ(r.recovery_attempts, 2u);
+  EXPECT_EQ(r.verdict(Scheme::kSteins), Verdict::kUnrecoverable) << r.detail;
+  EXPECT_FALSE(r.pass(Scheme::kSteins));
+}
+
+TEST(ReentrantCampaign, LsmHarnessExhaustedBudgetIsUnrecoverable) {
+  lsm::LsmCrashOptions opt;
+  opt.ops = 48;
+  opt.crash_at = 37;
+  opt.recovery_crash_boundary = 1;
+  opt.recovery_crash_rearm = true;
+  opt.retry_policy.max_recovery_attempts = 2;
+  opt.retry_policy.exponential_backoff = false;
+  const lsm::LsmCrashReport r =
+      lsm::run_lsm_crash_validation(small_config(), Scheme::kSteins, opt);
+  EXPECT_TRUE(r.recovery_gave_up) << r.detail;
+  EXPECT_EQ(r.verdict(Scheme::kSteins), Verdict::kUnrecoverable) << r.detail;
+  EXPECT_FALSE(r.pass(Scheme::kSteins));
+
+  const lsm::LsmCrashMatrix m =
+      lsm::run_lsm_crash_matrix(small_config(), Scheme::kSteins, opt, /*stride=*/29,
+                                /*jobs=*/1);
+  EXPECT_GT(m.counts[Verdict::kUnrecoverable], 0u);
+  EXPECT_FALSE(m.counts.clean());
+  EXPECT_FALSE(m.failures.empty());
 }
 
 // ---------------------------------------------------------------------------

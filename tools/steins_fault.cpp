@@ -183,14 +183,15 @@ int main(int argc, char** argv) {
       std::printf("wrote JSON results to %s\n", opt.json_path.c_str());
     }
 
-    if (result.silent_total() > 0) {
+    const VerdictCounts all = result.totals();
+    if (all[Verdict::kSilent] > 0) {
       std::fprintf(stderr, "\nFAIL: %llu silent-corruption verdict(s)\n",
-                   static_cast<unsigned long long>(result.silent_total()));
+                   static_cast<unsigned long long>(all[Verdict::kSilent]));
       return 1;
     }
-    if (result.unrecoverable_total() > 0) {
+    if (all[Verdict::kUnrecoverable] > 0) {
       std::fprintf(stderr, "\nFAIL: %llu unrecoverable recovery verdict(s)\n",
-                   static_cast<unsigned long long>(result.unrecoverable_total()));
+                   static_cast<unsigned long long>(all[Verdict::kUnrecoverable]));
       return 1;
     }
   } catch (const std::exception& e) {

@@ -177,11 +177,13 @@ void emit_json(const Options& opt, const SystemConfig& cfg,
        << ", \"all\": " << lat(o.ycsb.all_lat) << ", \"read\": " << lat(o.ycsb.read_lat)
        << ", \"update\": " << lat(o.ycsb.update_lat);
     if (o.crash_ran) {
-      os << ", \"crash_matrix\": {\"trials\": " << o.matrix.trials
-         << ", \"recovered\": " << o.matrix.recovered
-         << ", \"detected\": " << o.matrix.detected
-         << ", \"salvaged\": " << o.matrix.salvaged
-         << ", \"silent\": " << o.matrix.silent
+      const VerdictCounts& c = o.matrix.counts;
+      os << ", \"crash_matrix\": {\"trials\": " << c.total()
+         << ", \"recovered\": " << c.converged()
+         << ", \"detected\": " << c[Verdict::kDetected]
+         << ", \"salvaged\": " << c[Verdict::kSalvaged]
+         << ", \"silent\": " << c[Verdict::kSilent]
+         << ", \"unrecoverable\": " << c[Verdict::kUnrecoverable]
          << ", \"total_persists\": " << o.matrix.total_persists
          << ", \"pass\": " << (o.crash_pass ? "true" : "false") << "}";
     }
@@ -258,13 +260,15 @@ int main(int argc, char** argv) {
       if (opt.crash) {
         o.crash_ran = true;
         o.matrix = run_lsm_crash_matrix(cfg, scheme, ccfg, opt.crash_stride, opt.jobs);
-        o.crash_pass = o.matrix.silent == 0;
+        const VerdictCounts& c = o.matrix.counts;
+        o.crash_pass = c.clean();
         all_pass = all_pass && o.crash_pass;
-        crash_note = std::to_string(o.matrix.trials) + " trials: " +
-                     std::to_string(o.matrix.recovered) + " recovered, " +
-                     std::to_string(o.matrix.detected) + " detected, " +
-                     std::to_string(o.matrix.salvaged) + " salvaged, " +
-                     std::to_string(o.matrix.silent) + " silent";
+        crash_note = std::to_string(c.total()) + " trials: " +
+                     std::to_string(c.converged()) + " recovered, " +
+                     std::to_string(c[Verdict::kDetected]) + " detected, " +
+                     std::to_string(c[Verdict::kSalvaged]) + " salvaged, " +
+                     std::to_string(c[Verdict::kSilent]) + " silent, " +
+                     std::to_string(c[Verdict::kUnrecoverable]) + " unrecoverable";
         if (!o.crash_pass) crash_note += "  FAIL";
       }
       std::printf("%-11s %10.1f %9.0f %9.0f %8.2f %8.2f   %s\n", o.label.c_str(),
