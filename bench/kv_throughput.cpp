@@ -60,12 +60,7 @@ int main(int argc, char** argv) {
     ycfg.ops = opt.accesses;
     cells[i].result = run_sharded_serving(cfg, cells[i].scheme, ycfg);
   };
-  if (opt.jobs > 1) {
-    ThreadPool pool(opt.jobs);
-    pool.for_each_index(cells.size(), run_cell);
-  } else {
-    for (std::size_t i = 0; i < cells.size(); ++i) run_cell(i);
-  }
+  ThreadPool::run_indexed(opt.jobs, cells.size(), run_cell);
 
   const double ns = cfg.cycles_to_seconds(1) * 1e9;
   ResultTable table("KV throughput and latency by scheme/mix",
@@ -98,12 +93,7 @@ int main(int argc, char** argv) {
     scfg.jobs = opt.jobs;
     serving[i] = run_sharded_serving(cfg, Scheme::kSteins, scfg);
   };
-  if (opt.jobs > 1) {
-    ThreadPool pool(opt.jobs);
-    pool.for_each_index(serving.size(), run_serving_cell);
-  } else {
-    for (std::size_t i = 0; i < serving.size(); ++i) run_serving_cell(i);
-  }
+  ThreadPool::run_indexed(opt.jobs, serving.size(), run_serving_cell);
 
   ResultTable stable("Concurrent serving scaling (Steins/a, load routing, group commit)",
                      {"kops_s", "speedup", "p50_ns", "p99_ns", "p999_ns", "mean_batch"});

@@ -74,12 +74,7 @@ int main(int argc, char** argv) {
     ycfg.engine = engine;
     cells[i].result = run_lsm_ycsb(cfg, cells[i].scheme, ycfg);
   };
-  if (opt.jobs > 1) {
-    ThreadPool pool(opt.jobs);
-    pool.for_each_index(cells.size(), run_cell);
-  } else {
-    for (std::size_t i = 0; i < cells.size(); ++i) run_cell(i);
-  }
+  ThreadPool::run_indexed(opt.jobs, cells.size(), run_cell);
 
   const double ns = cfg.cycles_to_seconds(1) * 1e9;
   ResultTable table("LSM throughput, latency, and write amplification by scheme/mix",

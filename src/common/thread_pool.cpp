@@ -55,6 +55,16 @@ void ThreadPool::for_each_index(std::size_t n, const std::function<void(std::siz
   if (first) std::rethrow_exception(first);
 }
 
+void ThreadPool::run_indexed(unsigned jobs, std::size_t n,
+                             const std::function<void(std::size_t)>& fn) {
+  if (jobs <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  ThreadPool pool(jobs);
+  pool.for_each_index(n, fn);
+}
+
 ShardGang::ShardGang(std::size_t shards, unsigned jobs) : shards_(shards) {
   if (jobs < 1) jobs = 1;
   if (shards_ > 0 && jobs > shards_) jobs = static_cast<unsigned>(shards_);

@@ -52,6 +52,11 @@ class ThreadPool {
   /// has finished, so no task is left running against destroyed state.
   void for_each_index(std::size_t n, const std::function<void(std::size_t)>& fn);
 
+  /// for_each_index on a fresh pool of `jobs` workers, or in index order
+  /// on the calling thread when jobs <= 1.
+  static void run_indexed(unsigned jobs, std::size_t n,
+                          const std::function<void(std::size_t)>& fn);
+
   /// Job-count policy shared by every CLI entry point: STEINS_JOBS if set
   /// (values < 1 clamp to 1), else hardware_concurrency (min 1).
   static unsigned default_jobs();

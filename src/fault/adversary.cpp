@@ -7,7 +7,6 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 
 namespace steins {
 
@@ -476,46 +475,20 @@ AttackOutcome run_attack_trial(const SchemeSpec& spec, AdversaryScenario scenari
 }
 
 AttackCampaignResult run_attack_campaign(const AttackCampaignOptions& opts) {
-  if (opts.trials == 0 && !opts.only_trial.has_value()) {
-    throw std::invalid_argument(
-        "attack campaign with 0 trials would report vacuous success; "
-        "pass --trials >= 1 or reproduce one index with --trial");
-  }
+  const std::vector<std::uint64_t> trials =
+      campaign_trials("attack campaign", opts.trials, opts.only_trial);
   AttackCampaignResult result;
   result.options = opts;
   if (result.options.schemes.empty()) result.options.schemes = attack_schemes();
   if (result.options.scenarios.empty()) {
     result.options.scenarios = all_adversary_scenarios();
   }
-  const auto& schemes = result.options.schemes;
-  const auto& scenarios = result.options.scenarios;
-
-  std::vector<std::uint64_t> trials;
-  if (result.options.only_trial.has_value()) {
-    trials.push_back(*result.options.only_trial);
-  } else {
-    trials.resize(result.options.trials);
-    for (std::uint64_t t = 0; t < result.options.trials; ++t) trials[t] = t;
-  }
-
-  // Pre-assigned result slots, exactly like the fault campaign: each cell
-  // is a pure function of its indices, so the outcome vector is
-  // bit-identical for any job count.
-  result.outcomes.resize(trials.size() * schemes.size());
-  const auto run_cell = [&](std::size_t idx) {
-    const std::uint64_t trial = trials[idx / schemes.size()];
-    const SchemeSpec& spec = schemes[idx % schemes.size()];
-    const AdversaryScenario sc = scenarios[trial % scenarios.size()];
-    result.outcomes[idx] =
-        run_attack_trial(spec, sc, result.options.seed, trial, result.options.workload);
-  };
-
-  if (result.options.jobs <= 1) {
-    for (std::size_t i = 0; i < result.outcomes.size(); ++i) run_cell(i);
-  } else {
-    ThreadPool pool(result.options.jobs);
-    pool.for_each_index(result.outcomes.size(), run_cell);
-  }
+  const AttackCampaignOptions& o = result.options;
+  result.outcomes = schedule_campaign<AttackOutcome>(
+      trials, o.schemes, o.jobs, [&](std::uint64_t trial, const SchemeSpec& spec) {
+        const AdversaryScenario sc = o.scenarios[trial % o.scenarios.size()];
+        return run_attack_trial(spec, sc, o.seed, trial, o.workload);
+      });
   return result;
 }
 

@@ -4,10 +4,10 @@
 #include <cstring>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 
 namespace steins {
 
@@ -549,46 +549,34 @@ MulticycleOutcome run_multicycle_trial(const SchemeSpec& spec, FaultClass cls,
   return out;
 }
 
-CampaignResult run_fault_campaign(const CampaignOptions& opts) {
-  if (opts.trials == 0 && !opts.only_trial.has_value()) {
-    throw std::invalid_argument(
-        "fault campaign with 0 trials would report vacuous success; "
-        "pass --trials >= 1 or reproduce one index with --trial");
+std::vector<std::uint64_t> campaign_trials(const char* what, std::uint64_t trials,
+                                           std::optional<std::uint64_t> only_trial) {
+  if (only_trial.has_value()) return {*only_trial};
+  if (trials == 0) {
+    throw std::invalid_argument(std::string(what) +
+                                " with 0 trials would report vacuous success; "
+                                "pass --trials >= 1 or reproduce one index with --trial");
   }
+  std::vector<std::uint64_t> list(trials);
+  for (std::uint64_t t = 0; t < trials; ++t) list[t] = t;
+  return list;
+}
+
+CampaignResult run_fault_campaign(const CampaignOptions& opts) {
+  const std::vector<std::uint64_t> trials =
+      campaign_trials("fault campaign", opts.trials, opts.only_trial);
   CampaignResult result;
   result.options = opts;
   if (result.options.schemes.empty()) {
     result.options.schemes = campaign_schemes(CounterMode::kGeneral);
   }
   if (result.options.classes.empty()) result.options.classes = all_fault_classes();
-  const auto& schemes = result.options.schemes;
-  const auto& classes = result.options.classes;
-
-  std::vector<std::uint64_t> trials;
-  if (result.options.only_trial.has_value()) {
-    trials.push_back(*result.options.only_trial);
-  } else {
-    trials.resize(result.options.trials);
-    for (std::uint64_t t = 0; t < result.options.trials; ++t) trials[t] = t;
-  }
-
-  // Pre-assigned result slots: each cell is a pure function of its indices,
-  // so the outcome vector is bit-identical for any job count.
-  result.outcomes.resize(trials.size() * schemes.size());
-  const auto run_cell = [&](std::size_t idx) {
-    const std::uint64_t trial = trials[idx / schemes.size()];
-    const SchemeSpec& spec = schemes[idx % schemes.size()];
-    const FaultClass cls = classes[trial % classes.size()];
-    result.outcomes[idx] =
-        run_fault_trial(spec, cls, result.options.seed, trial, result.options.workload);
-  };
-
-  if (result.options.jobs <= 1) {
-    for (std::size_t i = 0; i < result.outcomes.size(); ++i) run_cell(i);
-  } else {
-    ThreadPool pool(result.options.jobs);
-    pool.for_each_index(result.outcomes.size(), run_cell);
-  }
+  const CampaignOptions& o = result.options;
+  result.outcomes = schedule_campaign<TrialOutcome>(
+      trials, o.schemes, o.jobs, [&](std::uint64_t trial, const SchemeSpec& spec) {
+        const FaultClass cls = o.classes[trial % o.classes.size()];
+        return run_fault_trial(spec, cls, o.seed, trial, o.workload);
+      });
   return result;
 }
 

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "fault/fault.hpp"
 #include "fault/verdict.hpp"
 #include "sim/experiment.hpp"
@@ -114,6 +115,27 @@ struct CampaignResult {
   /// Machine-readable record: options, per-cell matrix, silent trials.
   std::string to_json() const;
 };
+
+/// The trial indices a campaign runs: just `only_trial` when set, else
+/// 0..trials-1. A 0-trial campaign would report vacuous success, so it
+/// throws std::invalid_argument (`what` names the campaign).
+std::vector<std::uint64_t> campaign_trials(const char* what, std::uint64_t trials,
+                                           std::optional<std::uint64_t> only_trial);
+
+/// The campaign scheduler of the fault and attack campaigns: one
+/// pre-assigned slot per (trial, scheme) cell, trial-major, filled by
+/// run_cell(trial, spec) on `jobs` threads. Each cell is a pure function
+/// of its indices, so the result is bit-identical for any job count.
+template <class Outcome, class RunCell>
+std::vector<Outcome> schedule_campaign(const std::vector<std::uint64_t>& trials,
+                                       const std::vector<SchemeSpec>& schemes, unsigned jobs,
+                                       const RunCell& run_cell) {
+  std::vector<Outcome> out(trials.size() * schemes.size());
+  ThreadPool::run_indexed(jobs, out.size(), [&](std::size_t idx) {
+    out[idx] = run_cell(trials[idx / schemes.size()], schemes[idx % schemes.size()]);
+  });
+  return out;
+}
 
 /// Default scheme set per counter mode: the recoverable schemes the paper
 /// compares (GC: ASIT/STAR/SCUE/Steins-GC; SC: Steins-SC).

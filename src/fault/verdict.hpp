@@ -1,8 +1,8 @@
 // Crash verdicts: the one outcome taxonomy every crash harness scores
 // against — the fault and attack campaigns (fault/campaign.*,
-// fault/adversary.*), the multi-cycle recovery storm, and the KV, LSM and
-// serving crash validations (kv/kv_crash.*, kv/lsm/lsm_crash.*,
-// kv/serving.*). DESIGN.md "Crash verdicts" is the prose version.
+// fault/adversary.*), the multi-cycle recovery storm, the KV/LSM store
+// crash harness (kv/store_crash.*) and the serving crash validation
+// (kv/serving.*). DESIGN.md "Crash verdicts" is the prose version.
 //
 //   recovered              recovery ran clean and the audit found exactly
 //                          committed state: for the campaigns, every block
@@ -116,7 +116,7 @@ struct VerdictCounts {
   bool clean() const { return failed() == 0; }
 };
 
-/// The salvage diff's per-key rule, shared by the KV and LSM harnesses:
+/// The salvage diff's per-key rule of the store crash harness:
 /// every committed key in `model` must read back exactly through
 /// store.try_get or fail with a *typed* unavailable error (counted into
 /// *unavailable). Returns false with *detail set at the first untyped

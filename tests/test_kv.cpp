@@ -159,28 +159,29 @@ INSTANTIATE_TEST_SUITE_P(RecoverableSchemes, KvCrashScheme,
                          [](const auto& info) { return param_name(info.param); });
 
 // The exhaustive matrix: kill the store before EVERY persist barrier of a
-// small deterministic script; each crash point must recover to exactly the
+// small deterministic script (the shared sweep at stride 1: one dry run,
+// one trial per boundary); each crash point must recover to exactly the
 // committed model.
 TEST_P(KvCrashScheme, RecoversAtEveryPersistBoundary) {
-  const SystemConfig cfg = small_config();
   KvCrashOptions opt;
   opt.ops = 10;
   opt.keys = 4;
   opt.slots = 32;
   opt.value_bytes = 8;
 
+  const StoreCrashMatrix m =
+      run_kv_crash_matrix(small_config(), GetParam(), opt, /*stride=*/1, /*jobs=*/1);
+  ASSERT_GT(m.total_persists, 0u);
+  EXPECT_EQ(m.counts.total(), m.total_persists + 1);  // boundaries 0..total
   opt.crash_at = 0;
-  KvCrashReport first = run_kv_crash_validation(cfg, GetParam(), opt);
-  ASSERT_TRUE(first.pass(GetParam())) << first.detail;
-  ASSERT_GT(first.total_persists, 0u);
-
-  for (std::uint64_t at = 1; at <= first.total_persists; ++at) {
-    opt.crash_at = at;
-    const KvCrashReport r = run_kv_crash_validation(cfg, GetParam(), opt);
-    EXPECT_TRUE(r.pass(GetParam()))
-        << "crash before persist " << at << "/" << r.total_persists << ": " << r.detail;
-    EXPECT_EQ(r.total_persists, first.total_persists);
+  const KvCrashReport first = run_kv_crash_validation(small_config(), GetParam(), opt);
+  EXPECT_TRUE(first.pass(GetParam())) << first.detail;
+  EXPECT_EQ(first.total_persists, m.total_persists);
+  for (const auto& [at, detail] : m.failures) {
+    ADD_FAILURE() << "crash before persist " << at << "/" << m.total_persists << ": "
+                  << detail;
   }
+  EXPECT_TRUE(m.counts.clean());
 }
 
 TEST(KvCrash, RandomBoundaryIsDeterministicPerSeed) {
