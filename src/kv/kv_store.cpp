@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 
 namespace steins::kv {
 
@@ -12,7 +13,7 @@ namespace {
 /// unrecovered metadata) rather than adversarial tampering — the secure
 /// path's HMACs own that job.
 std::uint64_t record_checksum(std::uint64_t key, std::uint64_t version,
-                              const std::string& value) {
+                              std::string_view value) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto mix_u64 = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -31,34 +32,61 @@ std::uint64_t record_checksum(std::uint64_t key, std::uint64_t version,
   return h;
 }
 
+struct RecordHeader {
+  std::uint64_t key = 0;
+  std::uint64_t version = 0;
+  std::uint64_t len = 0;
+};
+
+/// The header fields and a view of the value bytes; false if the length
+/// field overflows the block or the checksum does not match.
+bool parse_record(const Block& b, RecordHeader* h, std::string_view* value) {
+  std::uint64_t sum = 0;
+  std::memcpy(&h->key, b.data(), 8);
+  std::memcpy(&h->version, b.data() + 8, 8);
+  std::memcpy(&sum, b.data() + 16, 8);
+  std::memcpy(&h->len, b.data() + 24, 8);
+  if (h->len > kMaxValueBytes) return false;
+  *value = std::string_view(reinterpret_cast<const char*>(b.data() + 32), h->len);
+  return sum == record_checksum(h->key, h->version, *value);
+}
+
 }  // namespace
 
-Block encode_record(const KvRecord& rec) {
-  STEINS_CHECK(rec.value.size() <= kMaxValueBytes, "KV record value overflows its block");
-  Block b{};
-  const std::uint64_t len = rec.value.size();
-  const std::uint64_t sum = record_checksum(rec.key, rec.version, rec.value);
-  std::memcpy(b.data(), &rec.key, 8);
-  std::memcpy(b.data() + 8, &rec.version, 8);
+void encode_record(std::uint64_t key, std::uint64_t version, std::string_view value,
+                   Block* out) {
+  STEINS_CHECK(value.size() <= kMaxValueBytes, "KV record value overflows its block");
+  Block& b = *out;
+  const std::uint64_t len = value.size();
+  const std::uint64_t sum = record_checksum(key, version, value);
+  std::memcpy(b.data(), &key, 8);
+  std::memcpy(b.data() + 8, &version, 8);
   std::memcpy(b.data() + 16, &sum, 8);
   std::memcpy(b.data() + 24, &len, 8);
-  std::memcpy(b.data() + 32, rec.value.data(), rec.value.size());
+  std::memcpy(b.data() + 32, value.data(), value.size());
+  std::memset(b.data() + 32 + value.size(), 0, kMaxValueBytes - value.size());
+}
+
+Block encode_record(const KvRecord& rec) {
+  Block b{};
+  encode_record(rec.key, rec.version, rec.value, &b);
   return b;
 }
 
 bool decode_record(const Block& b, KvRecord* out) {
-  KvRecord rec;
-  std::uint64_t sum = 0;
-  std::uint64_t len = 0;
-  std::memcpy(&rec.key, b.data(), 8);
-  std::memcpy(&rec.version, b.data() + 8, 8);
-  std::memcpy(&sum, b.data() + 16, 8);
-  std::memcpy(&len, b.data() + 24, 8);
-  if (len > kMaxValueBytes) return false;
-  rec.value.assign(reinterpret_cast<const char*>(b.data() + 32), len);
-  if (sum != record_checksum(rec.key, rec.version, rec.value)) return false;
-  if (out != nullptr) *out = std::move(rec);
+  RecordHeader h;
+  std::string_view value;
+  if (!parse_record(b, &h, &value)) return false;
+  if (out != nullptr) *out = KvRecord{h.key, h.version, std::string(value)};
   return true;
+}
+
+bool record_matches(const Block& b, std::uint64_t key, std::uint64_t version,
+                    std::size_t value_bytes) {
+  RecordHeader h;
+  std::string_view value;
+  return parse_record(b, &h, &value) && h.key == key && h.version == version &&
+         h.len == value_bytes;
 }
 
 KvStore::KvStore(System& sys, const KvLayout& layout) : sys_(sys), layout_(layout) {

@@ -25,6 +25,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/status.hpp"
 #include "common/types.hpp"
@@ -71,8 +72,17 @@ struct KvRecord {
 inline constexpr std::size_t kMaxValueBytes = kBlockSize - 32;
 
 Block encode_record(const KvRecord& rec);
+/// In-place encoder: writes the image of {key, version, value} into *out,
+/// byte-equal to encode_record(KvRecord{key, version, value}) but without
+/// a KvRecord string.
+void encode_record(std::uint64_t key, std::uint64_t version, std::string_view value,
+                   Block* out);
 /// False if the block is not a well-formed record (bad checksum/length).
 bool decode_record(const Block& b, KvRecord* out);
+/// True if `b` is a well-formed record of exactly (key, version) whose
+/// value is value_bytes long. Checks without building the value string.
+bool record_matches(const Block& b, std::uint64_t key, std::uint64_t version,
+                    std::size_t value_bytes);
 
 /// Commit word: bit 0 = live replica, bit 1 = live (1) vs tombstone (0),
 /// bits [2,64) = slot version. Zero means the slot was never used.

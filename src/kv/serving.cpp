@@ -1,8 +1,10 @@
 #include "kv/serving.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -49,6 +51,22 @@ std::optional<Routing> parse_routing(const std::string& name) {
   return std::nullopt;
 }
 
+std::string_view client_value(std::uint64_t key, std::uint64_t version,
+                              std::size_t value_bytes, ClientValueBuffer& buf) {
+  STEINS_CHECK(value_bytes <= buf.size(), "client value overflows its record payload");
+  // "c" + up to 20 key digits + "." + up to 20 version digits.
+  char text[42];
+  text[0] = 'c';
+  char* p = std::to_chars(text + 1, text + 21, key).ptr;
+  *p++ = '.';
+  p = std::to_chars(p, text + sizeof text, version).ptr;
+  const auto len = static_cast<std::size_t>(p - text);
+  const std::size_t kept = std::min(len, value_bytes);
+  std::memcpy(buf.data(), text, kept);
+  std::fill(buf.data() + kept, buf.data() + value_bytes, '~');
+  return std::string_view(buf.data(), value_bytes);
+}
+
 void validate_serving_config(const SystemConfig& cfg, const ServingConfig& scfg) {
   // Runs before anything divides by or allocates proportionally to the
   // shard count — every public entry point calls this ahead of
@@ -60,6 +78,11 @@ void validate_serving_config(const SystemConfig& cfg, const ServingConfig& scfg)
     throw std::invalid_argument("serving slots must be a power of two");
   }
   if (scfg.keys == 0) throw std::invalid_argument("serving needs >= 1 key");
+  // Tables index their keys with 32-bit entries (the all-ones entry marks
+  // an unused slot).
+  if (scfg.keys >= std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("serving supports fewer than 2^32 - 1 keys");
+  }
   if (scfg.epoch_ops == 0) throw std::invalid_argument("epoch_ops must be >= 1");
   if (scfg.value_bytes > kMaxValueBytes) {
     throw std::invalid_argument("value_bytes " + std::to_string(scfg.value_bytes) +
@@ -99,13 +122,12 @@ void put_word(Block& b, std::size_t offset, std::uint64_t w) {
   std::memcpy(b.data() + offset, &w, 8);
 }
 
-/// "c<key>.<version>" padded (or cut) to exactly value_bytes, which
-/// validate_serving_config bounds by kMaxValueBytes.
-std::string client_value(std::uint64_t key, std::uint64_t version,
-                         std::size_t value_bytes) {
-  std::string v = "c" + std::to_string(key) + "." + std::to_string(version);
-  v.resize(value_bytes, '~');
-  return v;
+/// Record image of client_value(key, version, value_bytes), encoded in
+/// place.
+void encode_client_record(std::uint64_t key, std::uint64_t version,
+                          std::size_t value_bytes, Block* out) {
+  ClientValueBuffer buf;
+  encode_record(key, version, client_value(key, version, value_bytes, buf), out);
 }
 
 void fnv_fold(std::uint64_t& h, const void* p, std::size_t n) {
@@ -121,27 +143,34 @@ void fnv_fold(std::uint64_t& h, const void* p, std::size_t n) {
 /// not in a client's latency).
 constexpr std::uint32_t kNoOp = 0xffffffffu;
 constexpr std::uint64_t kNoStop = ~std::uint64_t{0};
-constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+/// Slot -> key-entry value of a slot no key occupies.
+constexpr std::uint32_t kNoEntry = 0xffffffffu;
 /// Interleave granularity of a table spanning several controllers (the
 /// MultiControllerMemory default).
 constexpr std::size_t kInterleaveBytes = 4096;
 
 /// One resolved access of a controller's schedule. Addresses are LOCAL to
 /// that controller (mapped when planned). `seq` is the global emission
-/// order — the crash-boundary granularity.
+/// order — the crash-boundary granularity. No block image rides along;
+/// `word`/`version` say what the access reads or writes:
+///   kCommitRead   word = the commit word the read must observe, at byte
+///                 `offset` of the block
+///   kRecordRead   word = key, version = the record version it must observe
+///   kRecordWrite  word = key, version = the version written (the image is
+///                 encoded at replay)
+///   kCommitWrite  word = index of its block image in the lane's `images`
 struct PlannedAccess {
-  enum Kind : std::uint8_t { kCommitRead, kRecordRead, kWrite };
+  enum Kind : std::uint8_t { kCommitRead, kRecordRead, kRecordWrite, kCommitWrite };
   Addr addr = 0;
   std::uint64_t seq = 0;
-  std::uint32_t op = kNoOp;   // epoch-local op index
-  Kind kind = kWrite;
-  std::uint32_t offset = 0;   // commit-word byte offset (kCommitRead)
-  std::uint64_t expect_word = 0;     // kCommitRead
-  std::uint64_t expect_key = 0;      // kRecordRead
-  std::uint64_t expect_version = 0;  // kRecordRead
-  Block data{};               // kWrite image
+  std::uint64_t word = 0;
+  std::uint64_t version = 0;
   Cycle service = 0;
+  std::uint32_t op = kNoOp;   // epoch-local op index
+  std::uint32_t offset = 0;
+  Kind kind = kCommitRead;
 };
+static_assert(sizeof(PlannedAccess) <= 56, "schedule entries stay compact");
 
 struct OpPlan {
   std::uint32_t client = 0;
@@ -165,20 +194,28 @@ struct Place {
 
 /// One KV table (shard) and its scheduler-side state. It spans `ways`
 /// controllers from `first`: one for kHash/kLoadAware, all of them for
-/// kInterleave.
+/// kInterleave. Commit-word state is kept per key: entry i of `media`,
+/// `logical`, `durable` and `pending` belongs to keys[i], and `entry` maps
+/// a slot to its key's entry (kNoEntry: unused slot, commit word 0).
 struct Table {
   unsigned first = 0;
   unsigned ways = 1;
   std::vector<std::uint64_t> keys;       // keys routed here (ascending)
-  std::vector<std::uint64_t> slot_key;   // slot -> key (kNoKey = unused)
+  std::vector<std::uint32_t> entry;      // slot -> key entry
   std::vector<std::uint64_t> media;      // commit words as scheduled on media
   std::vector<std::uint64_t> logical;    // media + buffered window
   std::vector<std::uint64_t> durable;    // commit writes below stop_seq only
-  std::vector<char> pending;             // slot has a buffered commit word
+  std::vector<char> pending;             // commit word buffered in the window
   std::vector<std::size_t> pending_slots;
   std::uint64_t admitted = 0;            // this epoch
   std::uint64_t batched = 0;             // commit words coalesced, lifetime
   ShardServingStats stats;
+
+  /// Commit word of `slot` in the per-key `words` (0 for an unused slot).
+  std::uint64_t word(const std::vector<std::uint64_t>& words, std::size_t slot) const {
+    const std::uint32_t e = entry[slot];
+    return e == kNoEntry ? 0 : words[e];
+  }
 
   Place place(Addr a) const {
     // Per-shard tables map to themselves; skip the interleave's 64-bit
@@ -189,9 +226,12 @@ struct Table {
   }
 };
 
-/// One controller's epoch queue and timeline.
+/// One controller's epoch queue and timeline. Commit-block images are
+/// snapshotted here when their window flushes: the table's logical words
+/// move on before the replay writes them.
 struct Lane {
   std::vector<PlannedAccess> queue;
+  std::vector<Block> images;
   Cycle now = 0;
 };
 
@@ -199,7 +239,7 @@ struct Lane {
 struct EngineRun {
   ServingResult result;
   std::uint64_t total_accesses = 0;
-  std::vector<Table> tables;  // final scheduler state (durable, slot_key)
+  std::vector<Table> tables;  // final scheduler state (durable, keys, entry)
 };
 
 /// Key -> table routing. kInterleave has one table; kHash scatters by
@@ -283,23 +323,22 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
     Table& tb = tables[t];
     tb.first = interleave ? 0 : t;
     tb.ways = interleave ? scfg.shards : 1;
-    tb.slot_key.assign(scfg.slots, kNoKey);
-    tb.media.assign(scfg.slots, 0);
-    tb.logical.assign(scfg.slots, 0);
-    tb.durable.assign(scfg.slots, 0);
-    tb.pending.assign(scfg.slots, 0);
+    tb.entry.assign(scfg.slots, kNoEntry);
   }
   std::vector<Lane> lanes(scfg.shards);
   // Slot assignment: per-table linear probing in ascending key order, so
   // the table image is independent of the routing policy's assignment
   // order.
   std::vector<std::size_t> slot_of(scfg.keys, 0);
+  std::vector<std::uint32_t> entry_of(scfg.keys, 0);
   for (std::uint64_t key = 0; key < scfg.keys; ++key) {
     Table& tb = tables[table_of[key]];
     std::size_t s = layout.home_slot(key);
-    while (tb.slot_key[s] != kNoKey) s = (s + 1) & (scfg.slots - 1);
-    tb.slot_key[s] = key;
+    while (tb.entry[s] != kNoEntry) s = (s + 1) & (scfg.slots - 1);
+    const auto e = static_cast<std::uint32_t>(tb.keys.size());
+    tb.entry[s] = e;
     slot_of[key] = s;
+    entry_of[key] = e;
     tb.keys.push_back(key);
     ++tb.stats.keys;
   }
@@ -308,10 +347,11 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
   // timeline (spanning its controllers).
   const std::uint64_t preload_word = CommitWord{1, 0, true}.encode();
   for (Table& tb : tables) {
-    for (const std::uint64_t key : tb.keys) {
-      const std::size_t slot = slot_of[key];
-      tb.media[slot] = tb.logical[slot] = tb.durable[slot] = preload_word;
-    }
+    const std::size_t nkeys = tb.keys.size();
+    tb.media.assign(nkeys, preload_word);
+    tb.logical.assign(nkeys, preload_word);
+    tb.durable.assign(nkeys, preload_word);
+    tb.pending.assign(nkeys, 0);
     if (mem == nullptr) continue;
     Cycle t = 0;
     const auto write = [&](Addr addr, const Block& img) {
@@ -319,19 +359,21 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
       t = mem->controller(p.ctrl).write_block(p.addr, img, t);
       mem->note_frontier(p.ctrl, t);
     };
+    Block img{};
     for (const std::uint64_t key : tb.keys) {
-      const KvRecord rec{key, 1, client_value(key, 1, scfg.value_bytes)};
-      write(layout.record_addr(slot_of[key], 0), encode_record(rec));
+      encode_client_record(key, 1, scfg.value_bytes, &img);
+      write(layout.record_addr(slot_of[key], 0), img);
     }
     for (std::size_t blk = 0; blk < nblocks; ++blk) {
       const std::size_t first = blk * KvLayout::kWordsPerCommitBlock;
       const std::size_t n =
           std::min(KvLayout::kWordsPerCommitBlock, scfg.slots - first);
       bool any = false;
-      Block img{};
+      img = Block{};
       for (std::size_t w = 0; w < n; ++w) {
-        put_word(img, w * 8, tb.media[first + w]);
-        any = any || tb.media[first + w] != 0;
+        const std::uint64_t word = tb.word(tb.media, first + w);
+        put_word(img, w * 8, word);
+        any = any || word != 0;
       }
       if (any) write(layout.commit_block_addr(first), img);
     }
@@ -340,7 +382,14 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
     for (unsigned c = 0; c < scfg.shards; ++c) mem->controller(c).stats().reset();
   }
   const Cycle start = mem != nullptr ? mem->max_frontier() : 0;
-  for (Lane& lane : lanes) lane.now = start;
+  // Sized once per call: an op plans at most three accesses plus, across
+  // the epoch, one commit write per update, so no queue regrows.
+  const std::uint64_t epoch_cap = std::min(scfg.epoch_ops, scfg.ops);
+  for (Lane& lane : lanes) {
+    lane.now = start;
+    lane.queue.reserve(4 * epoch_cap);
+    lane.images.reserve(epoch_cap);
+  }
 
   std::vector<Client> clients(scfg.clients);
   for (unsigned i = 0; i < scfg.clients; ++i) {
@@ -353,21 +402,23 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
   LatencyHistogram batch_sizes;
 
   // Queue a planned access (table address) at its controller.
-  const auto emit = [&](const Table& tb, PlannedAccess& a) {
+  const auto emit = [&](const Table& tb, PlannedAccess a) -> Lane& {
     const Place p = tb.place(a.addr);
     a.addr = p.addr;
-    lanes[p.ctrl].queue.push_back(std::move(a));
+    Lane& lane = lanes[p.ctrl];
+    lane.queue.push_back(a);
+    return lane;
   };
 
   // Flush a table's group-commit window: one commit-block write per dirty
-  // block (ascending), image materialized from the logical words. The
+  // block (ascending), its image snapshotted from the logical words. The
   // window's size is one batch-distribution sample.
   const auto flush_window = [&](Table& tb, std::uint32_t attribute_op) {
     if (tb.pending_slots.empty()) return;
     std::sort(tb.pending_slots.begin(), tb.pending_slots.end());
     std::size_t prev_block = ~std::size_t{0};
     for (const std::size_t slot : tb.pending_slots) {
-      tb.pending[slot] = 0;
+      tb.pending[tb.entry[slot]] = 0;
       const std::size_t block = slot / KvLayout::kWordsPerCommitBlock;
       if (block == prev_block) continue;
       prev_block = block;
@@ -378,13 +429,17 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
       w.addr = layout.commit_block_addr(first);
       w.seq = next_seq++;
       w.op = attribute_op;
-      w.kind = PlannedAccess::kWrite;
-      for (std::size_t i = 0; i < n; ++i) put_word(w.data, i * 8, tb.logical[first + i]);
-      for (std::size_t i = 0; i < n; ++i) tb.media[first + i] = tb.logical[first + i];
-      if (w.seq < stop_seq) {
-        for (std::size_t i = 0; i < n; ++i) tb.durable[first + i] = tb.logical[first + i];
+      w.kind = PlannedAccess::kCommitWrite;
+      Lane& lane = emit(tb, w);
+      lane.queue.back().word = lane.images.size();
+      Block& img = lane.images.emplace_back();
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t e = tb.entry[first + i];
+        if (e == kNoEntry) continue;
+        put_word(img, i * 8, tb.logical[e]);
+        tb.media[e] = tb.logical[e];
+        if (w.seq < stop_seq) tb.durable[e] = tb.logical[e];
       }
-      emit(tb, w);
       ++tb.stats.commit_writes;
     }
     batch_sizes.add(tb.pending_slots.size());
@@ -402,30 +457,34 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
     MultiControllerMemory::ShardLease lease(*mem, static_cast<unsigned>(c));
     SecureMemory& ctrl = lease.mem();
     Cycle now = lane.now;
+    Block b{};
     for (PlannedAccess& a : lane.queue) {
       if (a.seq >= stop_seq) break;
-      if (a.kind == PlannedAccess::kWrite) {
-        const Cycle done = ctrl.write_block(a.addr, a.data, now);
-        a.service = done - now;
-        now = done;
-        continue;
+      Cycle done = now;
+      switch (a.kind) {
+        case PlannedAccess::kRecordWrite:
+          encode_client_record(a.word, a.version, scfg.value_bytes, &b);
+          done = ctrl.write_block(a.addr, b, now);
+          break;
+        case PlannedAccess::kCommitWrite:
+          done = ctrl.write_block(a.addr, lane.images[a.word], now);
+          break;
+        case PlannedAccess::kCommitRead:
+          done = ctrl.read_block(a.addr, now, &b);
+          if (word_at(b, a.offset) != a.word) {
+            throw std::logic_error(
+                "serving replay read a commit word diverging from the schedule");
+          }
+          break;
+        case PlannedAccess::kRecordRead:
+          done = ctrl.read_block(a.addr, now, &b);
+          if (!record_matches(b, a.word, a.version, scfg.value_bytes)) {
+            throw std::logic_error("serving replay read a corrupt or stale record");
+          }
+          break;
       }
-      Block b;
-      const Cycle done = ctrl.read_block(a.addr, now, &b);
       a.service = done - now;
       now = done;
-      if (a.kind == PlannedAccess::kCommitRead) {
-        if (word_at(b, a.offset) != a.expect_word) {
-          throw std::logic_error(
-              "serving replay read a commit word diverging from the schedule");
-        }
-      } else {
-        KvRecord rec;
-        if (!decode_record(b, &rec) || rec.key != a.expect_key ||
-            rec.version != a.expect_version) {
-          throw std::logic_error("serving replay read a corrupt or stale record");
-        }
-      }
     }
     lane.now = now;
     lease.note_frontier(now);
@@ -435,12 +494,17 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
 
   std::vector<OpPlan> plans;
   std::vector<Cycle> op_lat;
+  plans.reserve(epoch_cap);
+  op_lat.reserve(epoch_cap);
   ServingResult res;
   res.offered_ops = scfg.ops;
   for (std::uint64_t done_ops = 0; done_ops < scfg.ops;) {
     const std::uint64_t epoch_ops = std::min(scfg.epoch_ops, scfg.ops - done_ops);
     plans.clear();
-    for (Lane& lane : lanes) lane.queue.clear();
+    for (Lane& lane : lanes) {
+      lane.queue.clear();
+      lane.images.clear();
+    }
     for (Table& tb : tables) tb.admitted = 0;
 
     // Phase 1: resolve the epoch's schedule.
@@ -468,12 +532,13 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
       plans.push_back(OpPlan{cid, is_update, false});
 
       const std::size_t slot = slot_of[key];
-      const CommitWord word = CommitWord::decode(tb.logical[slot]);
+      const std::uint32_t k = entry_of[key];
+      const CommitWord word = CommitWord::decode(tb.logical[k]);
       if (word.empty() || !word.live) {
         throw std::logic_error("serving scheduled an op on a dead slot");
       }
 
-      if (is_update && tb.pending[slot]) {
+      if (is_update && tb.pending[k]) {
         // Second update to a buffered slot: its record write would target
         // the replica the DURABLE commit word still points at. Force the
         // window out first so the two-replica invariant holds at every
@@ -481,7 +546,7 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
         flush_window(tb, kNoOp);
       }
 
-      if (!tb.pending[slot]) {
+      if (!tb.pending[k]) {
         // Commit read from media; a buffered slot skips this (the word is
         // served from the table's volatile commit buffer — the group
         // commit coalescing win on the read path).
@@ -491,13 +556,13 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
         commit_read.op = op_idx;
         commit_read.kind = PlannedAccess::kCommitRead;
         commit_read.offset = static_cast<std::uint32_t>(layout.commit_word_offset(slot));
-        commit_read.expect_word = tb.media[slot];
+        commit_read.word = tb.media[k];
         emit(tb, commit_read);
       }
 
       // Re-read the word: the forced flush above never changes it, but
       // keep the single source of truth obvious.
-      const CommitWord cur = CommitWord::decode(tb.logical[slot]);
+      const CommitWord cur = CommitWord::decode(tb.logical[k]);
       if (!is_update || scfg.mix == Mix::kF) {
         // Plain read, or the read half of a read-modify-write.
         PlannedAccess rec_read;
@@ -505,24 +570,23 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
         rec_read.seq = next_seq++;
         rec_read.op = op_idx;
         rec_read.kind = PlannedAccess::kRecordRead;
-        rec_read.expect_key = key;
-        rec_read.expect_version = cur.version;
+        rec_read.word = key;
+        rec_read.version = cur.version;
         emit(tb, rec_read);
       }
       if (is_update) {
         const int replica = 1 - cur.replica;
-        const KvRecord rec{key, cur.version + 1,
-                           client_value(key, cur.version + 1, scfg.value_bytes)};
         PlannedAccess rec_write;
         rec_write.addr = layout.record_addr(slot, replica);
         rec_write.seq = next_seq++;
         rec_write.op = op_idx;
-        rec_write.kind = PlannedAccess::kWrite;
-        rec_write.data = encode_record(rec);
+        rec_write.kind = PlannedAccess::kRecordWrite;
+        rec_write.word = key;
+        rec_write.version = cur.version + 1;
         emit(tb, rec_write);
 
-        tb.logical[slot] = CommitWord{cur.version + 1, replica, true}.encode();
-        tb.pending[slot] = 1;
+        tb.logical[k] = CommitWord{cur.version + 1, replica, true}.encode();
+        tb.pending[k] = 1;
         tb.pending_slots.push_back(slot);
         if (scfg.group_commit_window == 0) {
           flush_window(tb, op_idx);  // batch of 1: the op owns its commit write
@@ -622,13 +686,13 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
         const std::size_t n =
             std::min(KvLayout::kWordsPerCommitBlock, scfg.slots - first);
         bool any = false;
-        for (std::size_t i = 0; i < n; ++i) any = any || tb.media[first + i] != 0;
+        for (std::size_t i = 0; i < n; ++i) any = any || tb.word(tb.media, first + i) != 0;
         if (!any) continue;
         Block b;
         read(layout.commit_block_addr(first), &b);
         for (std::size_t i = 0; i < n; ++i) {
           const std::uint64_t got = word_at(b, i * 8);
-          if (got != tb.media[first + i]) {
+          if (got != tb.word(tb.media, first + i)) {
             throw std::logic_error("final image diverged from the schedule shadow");
           }
           fnv_fold(digest, &got, 8);
@@ -636,6 +700,10 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
           if (word.empty() || !word.live) continue;
           Block rec;
           read(layout.record_addr(first + i, word.replica), &rec);
+          if (!record_matches(rec, tb.keys[tb.entry[first + i]], word.version,
+                              scfg.value_bytes)) {
+            throw std::logic_error("final image holds a corrupt or stale record");
+          }
           fnv_fold(digest, rec.data(), rec.size());
         }
       }
@@ -709,7 +777,6 @@ ServingCrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
   try {
     for (std::size_t s = 0; s < run.tables.size(); ++s) {
       const Table& tb = run.tables[s];
-      const std::vector<std::uint64_t>& durable = tb.durable;
       Cycle now = 0;
       const auto read = [&](Addr addr, Block* out) {
         const Place p = tb.place(addr);
@@ -725,9 +792,10 @@ ServingCrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
         std::uint64_t durable_live = 0;
         bool any = false;
         for (std::size_t i = 0; i < n; ++i) {
-          if (durable[first + i] == 0) continue;
+          const std::uint64_t durable = tb.word(tb.durable, first + i);
+          if (durable == 0) continue;
           any = true;
-          if (CommitWord::decode(durable[first + i]).live) ++durable_live;
+          if (CommitWord::decode(durable).live) ++durable_live;
         }
         if (!any) continue;
         Block b;
@@ -741,11 +809,12 @@ ServingCrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
         for (std::size_t i = 0; i < n; ++i) {
           const std::size_t slot = first + i;
           const std::uint64_t got = word_at(b, i * 8);
-          if (got != durable[slot]) {
+          const std::uint64_t durable = tb.word(tb.durable, slot);
+          if (got != durable) {
             rep.detail = "slot " + std::to_string(slot) + " on shard " +
                          std::to_string(s) + " holds commit word " +
                          std::to_string(got) + ", committed " +
-                         std::to_string(durable[slot]);
+                         std::to_string(durable);
             return rep;
           }
           const CommitWord word = CommitWord::decode(got);
@@ -760,10 +829,11 @@ ServingCrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
             continue;
           }
           KvRecord rec;
-          const std::uint64_t key = tb.slot_key[slot];
+          ClientValueBuffer want;
+          const std::uint64_t key = tb.keys[tb.entry[slot]];
           if (!decode_record(recb, &rec) || rec.key != key ||
               rec.version != word.version ||
-              rec.value != client_value(key, word.version, scfg.value_bytes)) {
+              rec.value != client_value(key, word.version, scfg.value_bytes, want)) {
             rep.detail = "committed key " + std::to_string(key) +
                          " has a silently wrong record after recovery";
             return rep;

@@ -25,7 +25,9 @@
 //     coalesces commit-word persists into per-window commit-block writes.
 //     Every planned access carries a global sequence number in emission
 //     order and the value its read must observe (from a scheduler-side
-//     shadow of the committed store), or the block image it writes.
+//     shadow of the committed store), or what it writes: a record write
+//     its (key, version), encoded into a block image at replay; a commit
+//     write the block image snapshotted when its window flushed.
 //  2. Replay (parallel): every controller replays its queue back-to-back
 //     on its own timeline behind a ShardGang epoch barrier (a
 //     work-conserving FIFO server: clients keep each DIMM saturated).
@@ -60,9 +62,11 @@
 //   C 100% read                  F 50% read / 50% read-modify-write
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/config.hpp"
@@ -157,6 +161,15 @@ struct ServingResult {
   std::uint64_t image_digest = 0;
   std::vector<ShardServingStats> shards;
 };
+
+/// Scratch space for one client value.
+using ClientValueBuffer = std::array<char, kMaxValueBytes>;
+
+/// The value a serving client stores as version `version` of `key`:
+/// "c<key>.<version>" padded with '~' (or cut) to value_bytes, at most
+/// kMaxValueBytes. Formatted into `buf`; the returned view points there.
+std::string_view client_value(std::uint64_t key, std::uint64_t version,
+                              std::size_t value_bytes, ClientValueBuffer& buf);
 
 /// Throws std::invalid_argument on nonsense configurations: zero
 /// clients/shards/keys/epoch_ops, slots not a power of two, values over

@@ -6,12 +6,18 @@
 // its own bank (no mid-write preemption). A posted write stalls the
 // producer only when the queue is full. A write->read turnaround (tWTR)
 // penalty is charged when a read follows a write on the same bank.
+//
+// The queue is a fixed ring of write_queue_entries slots, allocated once.
+// A 256-bucket count of queued block numbers lets a read, queued() and
+// peek_queued_tag() skip the store-forwarding scan when no queued write can
+// match (DESIGN.md §14).
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <limits>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
@@ -93,7 +99,7 @@ class NvmChannel {
   /// Install (or clear, with nullptr) the crash-drain fault hook.
   void set_crash_fault_hook(FaultInjector* injector) { crash_hook_ = injector; }
 
-  std::size_t queue_depth() const { return queue_.size(); }
+  std::size_t queue_depth() const { return size_; }
   Cycle device_free_at() const {
     Cycle m = 0;
     for (const Cycle f : free_at_) m = std::max(m, f);
@@ -116,6 +122,34 @@ class NvmChannel {
     std::uint64_t tag = 0;
   };
 
+  /// Buckets of the queued-address filter, keyed on the block number.
+  static constexpr std::size_t kFilterBuckets = 256;
+  /// A bucket holds at most every queued entry, so the configured entry
+  /// count's type bounds it.
+  using BucketCount = std::uint32_t;
+  static_assert(std::numeric_limits<decltype(NvmConfig::write_queue_entries)>::max() <=
+                    std::numeric_limits<BucketCount>::max(),
+                "a filter bucket must count a full write queue");
+
+  static std::size_t bucket_of(Addr addr) {
+    return static_cast<std::size_t>(addr / kBlockSize) % kFilterBuckets;
+  }
+
+  /// Ring slot of the i-th oldest queued entry.
+  std::size_t slot(std::size_t i) const {
+    const std::size_t s = head_ + i;
+    return s >= ring_.size() ? s - ring_.size() : s;
+  }
+  Pending& front() { return ring_[head_]; }
+
+  void push_back(const Pending& w);
+  void pop_front();
+  void clear();
+
+  /// Newest queued entry for `addr` (that carries a tag, if `need_tag`),
+  /// or nullptr.
+  const Pending* newest(Addr addr, bool need_tag) const;
+
   /// Issue the front queued write with earliest start time `start`.
   void issue_front(Cycle start);
 
@@ -123,7 +157,6 @@ class NvmChannel {
     return static_cast<std::size_t>((addr / kBlockSize) % kBanks);
   }
 
-  const SystemConfig& cfg_;
   NvmDevice& dev_;
   // Device timing constants, converted from ns once at construction: the
   // float->cycle conversion is too slow to repeat on every transaction.
@@ -131,7 +164,10 @@ class NvmChannel {
   Cycle write_cycles_;
   Cycle wtr_cycles_;
   FaultInjector* crash_hook_ = nullptr;
-  std::deque<Pending> queue_;
+  std::vector<Pending> ring_;  // capacity: write_queue_entries (at least 1)
+  std::size_t head_ = 0;       // oldest entry
+  std::size_t size_ = 0;
+  std::array<BucketCount, kFilterBuckets> bucket_count_{};
   std::array<Cycle, kBanks> free_at_{};
   std::array<bool, kBanks> last_was_write_{};
   ChannelStats stats_;

@@ -53,6 +53,7 @@ class BmtMemory final : public SecureMemory {
   }
 
   ExecStats& stats() override { return stats_; }
+  const ExecStats& stats() const override { return stats_; }
   const SystemConfig& config() const override { return cfg_; }
   NvmDevice& device() override { return dev_; }
   const SitGeometry& geometry() const override { return geo_; }

@@ -161,6 +161,7 @@ class SecureMemory {
   virtual RecoveryReport recover() = 0;
 
   virtual ExecStats& stats() = 0;
+  virtual const ExecStats& stats() const = 0;
   virtual const SystemConfig& config() const = 0;
   virtual NvmDevice& device() = 0;
   virtual const SitGeometry& geometry() const = 0;
@@ -207,6 +208,7 @@ class SecureMemoryBase : public SecureMemory {
   void crash() override;
 
   ExecStats& stats() override { return stats_; }
+  const ExecStats& stats() const override { return stats_; }
   const SystemConfig& config() const override { return cfg_; }
   NvmDevice& device() override { return dev_; }
   const SitGeometry& geometry() const override { return geo_; }

@@ -80,9 +80,9 @@ Cycle MultiControllerMemory::max_frontier() const {
 std::uint64_t MultiControllerMemory::total_nvm_writes() const {
   std::uint64_t total = 0;
   for (const auto& mc : mcs_) {
+    const SecureMemory& m = *mc;
     // Device stats include recovery; use the scheme's runtime stats.
-    auto& stats = const_cast<SecureMemory&>(*mc).stats();
-    total += stats.nvm_writes();
+    total += m.stats().nvm_writes();
   }
   return total;
 }

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "kv/kv_crash.hpp"
 #include "kv/kv_store.hpp"
@@ -56,6 +58,47 @@ TEST(KvRecordCodec, RoundTripsAndRejectsCorruption) {
   Block zero{};
   KvRecord z;  // all-zero decodes only if the checksum happens to match
   EXPECT_FALSE(decode_record(zero, &z) && z.version != 0);
+}
+
+TEST(KvRecordCodec, InPlaceEncoderMatchesRecordEncoder) {
+  // Serving client values of every length class, including ones shorter
+  // than the "c<key>.<version>" prefix (cut) and ones padded with '~'.
+  const std::uint64_t key = 123, version = 7;
+  const std::map<std::size_t, std::string> want = {
+      {0, ""},
+      {1, "c"},
+      {5, "c123."},
+      {24, "c123.7~~~~~~~~~~~~~~~~~~"},
+      {kMaxValueBytes, "c123.7" + std::string(kMaxValueBytes - 6, '~')},
+  };
+  for (const auto& [bytes, text] : want) {
+    ClientValueBuffer buf;
+    const std::string_view value = client_value(key, version, bytes, buf);
+    EXPECT_EQ(value, text) << bytes;
+    Block in_place;
+    in_place.fill(0xee);  // every byte must be overwritten
+    encode_record(key, version, value, &in_place);
+    EXPECT_EQ(in_place, encode_record(KvRecord{key, version, text})) << bytes;
+    EXPECT_TRUE(record_matches(in_place, key, version, bytes)) << bytes;
+  }
+}
+
+TEST(KvRecordCodec, MatchCheckRejectsWrongFields) {
+  const Block b = encode_record(KvRecord{42, 9, "payload"});
+  EXPECT_TRUE(record_matches(b, 42, 9, 7));
+  EXPECT_FALSE(record_matches(b, 43, 9, 7));  // key
+  EXPECT_FALSE(record_matches(b, 42, 8, 7));  // version
+  EXPECT_FALSE(record_matches(b, 42, 9, 6));  // length
+  Block flipped = b;
+  flipped[33] ^= 0x01;  // value byte: the checksum no longer matches
+  EXPECT_FALSE(record_matches(flipped, 42, 9, 7));
+  Block bad_sum = b;
+  bad_sum[16] ^= 0x80;  // the checksum field itself
+  EXPECT_FALSE(record_matches(bad_sum, 42, 9, 7));
+  Block overlong = b;
+  const std::uint64_t len = kMaxValueBytes + 1;
+  std::memcpy(overlong.data() + 24, &len, 8);
+  EXPECT_FALSE(record_matches(overlong, 42, 9, kMaxValueBytes + 1));
 }
 
 TEST(KvCommitWord, EncodeDecodeRoundTrip) {

@@ -1,8 +1,11 @@
 // NVM device + channel: functional store, tags, timing discipline, write
-// queue behaviour, store-forwarding.
+// queue behaviour (ring wrap-around, queued-address filter), store-forwarding.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/config.hpp"
+#include "fault/fault.hpp"
 #include "nvm/nvm_device.hpp"
 #include "nvm/write_queue.hpp"
 
@@ -198,6 +201,128 @@ TEST(NvmChannel, ReadAfterWriteTurnaroundPenalty) {
   const Cycle free_at = ch.device_free_at();
   const Cycle done = ch.read(0x4000, free_at, &out);
   EXPECT_EQ(done, free_at + cfg.ns_to_cycles(cfg.nvm.t_wtr_ns) + cfg.nvm_read_cycles());
+}
+
+// The write queue is a fixed ring: with 4 entries, posting at one cycle
+// keeps exactly the 4 newest writes queued (each further post stalls and
+// issues the oldest), so these helpers wrap the ring on purpose.
+SystemConfig four_entry_config() {
+  SystemConfig cfg = default_config();
+  cfg.nvm.write_queue_entries = 4;
+  return cfg;
+}
+
+Addr ring_addr(int i) { return 0x10000 + static_cast<Addr>(i) * 64; }
+
+TEST(NvmChannel, RingWrapAroundKeepsFifoOrder) {
+  const SystemConfig cfg = four_entry_config();
+  NvmDevice dev(cfg.nvm);
+  NvmChannel ch(cfg, dev);
+  constexpr int kWrites = 14;  // > 3x the capacity
+  for (int i = 0; i < kWrites; ++i) ch.write(ring_addr(i), filled(static_cast<std::uint8_t>(i)), 0);
+  EXPECT_EQ(ch.queue_depth(), 4u);
+  EXPECT_EQ(ch.stats().write_queue_stalls, static_cast<std::uint64_t>(kWrites - 4));
+  for (int i = 0; i < kWrites; ++i) {
+    // Stalls issued the oldest entries, in posting order.
+    EXPECT_EQ(dev.contains(ring_addr(i)), i < kWrites - 4) << i;
+    EXPECT_EQ(ch.queued(ring_addr(i)), i >= kWrites - 4) << i;
+  }
+  ch.drain_all(0);
+  EXPECT_EQ(ch.queue_depth(), 0u);
+  for (int i = 0; i < kWrites; ++i) {
+    EXPECT_EQ(dev.peek_block(ring_addr(i)), filled(static_cast<std::uint8_t>(i))) << i;
+  }
+}
+
+TEST(NvmChannel, ForwardsNewestEntryAfterWrap) {
+  const SystemConfig cfg = four_entry_config();
+  NvmDevice dev(cfg.nvm);
+  NvmChannel ch(cfg, dev);
+  for (int i = 0; i < 6; ++i) ch.write(ring_addr(i), filled(9), 0);
+  // The ring's head has moved past slot 0; these two land in wrapped slots.
+  const std::uint64_t t1 = 0x11, t2 = 0x22;
+  ch.write(0x40, filled(1), 0, nullptr, 0, &t1);
+  ch.write(0x40, filled(2), 0, nullptr, 0, &t2);
+  ASSERT_EQ(ch.queue_depth(), 4u);
+  Block out;
+  const Cycle done = ch.read(0x40, 0, &out);
+  EXPECT_EQ(out, filled(2));
+  EXPECT_EQ(done, NvmChannel::kForwardCycles);
+  std::uint64_t tag = 0;
+  ASSERT_TRUE(ch.peek_queued_tag(0x40, &tag));
+  EXPECT_EQ(tag, t2);
+  ch.drain_all(0);
+  EXPECT_EQ(dev.peek_block(0x40), filled(2));
+  EXPECT_EQ(dev.read_tag(0x40), t2);
+}
+
+TEST(NvmChannel, AddressesSharingAFilterBucketBothForward) {
+  const SystemConfig cfg = default_config();
+  NvmDevice dev(cfg.nvm);
+  NvmChannel ch(cfg, dev);
+  const Addr a = 0x40;
+  const Addr b = 0x40 + 256 * 64;  // same block number mod 256
+  ch.write(b, filled(2), 0);
+  // Only b is queued: a shares its bucket but must not forward.
+  EXPECT_FALSE(ch.queued(a));
+  Block out;
+  ch.read(a, 0, &out);
+  EXPECT_EQ(out, zero_block());
+  ch.write(a, filled(1), 0);
+  EXPECT_TRUE(ch.queued(a));
+  EXPECT_TRUE(ch.queued(b));
+  ch.read(a, 0, &out);
+  EXPECT_EQ(out, filled(1));
+  ch.read(b, 0, &out);
+  EXPECT_EQ(out, filled(2));
+}
+
+TEST(NvmChannel, NothingQueuedAfterDrains) {
+  const SystemConfig cfg = four_entry_config();
+  NvmDevice dev(cfg.nvm);
+  NvmChannel ch(cfg, dev);
+  const std::uint64_t tag = 0x5a;
+  std::uint64_t got = 0;
+  // drain_all, crash_drain_all without a hook, and issue as time passes.
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 6; ++i) ch.write(ring_addr(i), filled(3), 0, nullptr, 0, &tag);
+    ASSERT_TRUE(ch.queued(ring_addr(5)));
+    ASSERT_TRUE(ch.peek_queued_tag(ring_addr(5), &got));
+    if (round == 0) ch.drain_all(0);
+    if (round == 1) ch.crash_drain_all(0);
+    if (round == 2) ch.read(0x8000, ch.device_free_at() + 10'000'000, nullptr);
+    EXPECT_EQ(ch.queue_depth(), 0u) << round;
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_FALSE(ch.queued(ring_addr(i))) << round << " " << i;
+      EXPECT_FALSE(ch.peek_queued_tag(ring_addr(i), &got)) << round << " " << i;
+    }
+  }
+}
+
+TEST(NvmChannel, FaultHookCrashDrainGetsOldestFirstAfterWrap) {
+  const SystemConfig cfg = four_entry_config();
+  NvmDevice dev(cfg.nvm);
+  NvmChannel ch(cfg, dev);
+  for (int i = 0; i < 6; ++i) ch.write(ring_addr(i), filled(4), 0);
+  // ADR loss drops every queued write and logs one event per entry, in the
+  // order the hook received them.
+  FaultInjector injector(FaultPlan{FaultClass::kAdrLoss, 1, 1});
+  ch.set_crash_fault_hook(&injector);
+  ch.crash_drain_all(0);
+  ch.set_crash_fault_hook(nullptr);
+  std::vector<Addr> order;
+  for (const FaultEvent& e : injector.events()) order.push_back(e.addr);
+  EXPECT_EQ(order, (std::vector<Addr>{ring_addr(2), ring_addr(3), ring_addr(4), ring_addr(5)}));
+  EXPECT_EQ(ch.queue_depth(), 0u);
+  for (int i = 2; i < 6; ++i) {
+    EXPECT_FALSE(ch.queued(ring_addr(i))) << i;
+    EXPECT_FALSE(dev.contains(ring_addr(i))) << i;
+  }
+  // The ring keeps working after the hooked drain.
+  ch.write(ring_addr(0), filled(5), 0);
+  Block out;
+  ch.read(ring_addr(0), 0, &out);
+  EXPECT_EQ(out, filled(5));
 }
 
 }  // namespace
