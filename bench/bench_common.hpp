@@ -1,7 +1,6 @@
-// Shared plumbing for the figure benches: trace sizing and parallelism
-// (overridable via environment or argv), the metric extractors the paper's
-// figures use, and optional machine-readable JSON output for recording
-// bench trajectories across commits.
+// Shared plumbing for the benches: trace sizing and parallelism
+// (overridable via environment or argv) and optional machine-readable JSON
+// output for recording bench trajectories across commits.
 #pragma once
 
 #include <cerrno>
@@ -108,19 +107,9 @@ inline BenchOptions parse_options(int argc, char** argv) {
   return opt;
 }
 
-inline double metric_exec_time(const RunStats& s) { return static_cast<double>(s.cycles); }
-inline double metric_write_latency(const RunStats& s) { return s.write_latency_cycles; }
-inline double metric_read_latency(const RunStats& s) { return s.read_latency_cycles; }
-inline double metric_write_latency_p99(const RunStats& s) { return s.write_latency_p99; }
-inline double metric_read_latency_p99(const RunStats& s) { return s.read_latency_p99; }
-inline double metric_write_traffic(const RunStats& s) {
-  return static_cast<double>(s.mem.nvm_writes());
-}
-inline double metric_energy(const RunStats& s) { return s.energy_nj; }
-
 /// Write `table` (plus the run's sizing, for provenance) as JSON to `path`.
 /// `extra_members` is appended verbatim inside the top-level object (e.g.
-/// `, "p99_table": {...}`). Returns false — with the failing path and OS
+/// `, "figures": {...}`). Returns false — with the failing path and OS
 /// error on stderr — if the file cannot be opened or the write does not
 /// complete (e.g. disk full); a recorded bench trajectory must never
 /// silently drop a data point.
@@ -148,42 +137,6 @@ inline bool write_table_json(const std::string& path, const ResultTable& table,
     return false;
   }
   return true;
-}
-
-/// Run one paper figure: a (workloads x schemes) matrix, normalized per
-/// workload to `baseline`, printed as the figure's series (and optionally
-/// recorded as JSON). When `tail_metric` is given (the latency figures
-/// pass the p99 extractor), a companion table — same normalization — is
-/// printed below the figure and recorded as `"p99_table"` in the JSON.
-inline int run_figure(int argc, char** argv, const std::string& title,
-                      const std::vector<SchemeSpec>& schemes, double (*metric)(const RunStats&),
-                      const std::string& baseline,
-                      double (*tail_metric)(const RunStats&) = nullptr) {
-  const BenchOptions opt = parse_options(argc, argv);
-  std::printf("%s\n", title.c_str());
-  std::printf("(%llu accesses per cell + %llu warmup; deterministic traces; %u job%s)\n\n",
-              static_cast<unsigned long long>(opt.accesses),
-              static_cast<unsigned long long>(opt.warmup), opt.jobs, opt.jobs == 1 ? "" : "s");
-  ExperimentRunner runner(default_config());
-  const auto results = runner.run_matrix(workload_names(), schemes, opt.accesses, opt.warmup,
-                                         opt.verbose, opt.jobs);
-  const ResultTable table =
-      ExperimentRunner::make_table(title, results, schemes, metric, baseline);
-  table.print();
-  std::string extra;
-  if (tail_metric != nullptr) {
-    const ResultTable tail = ExperimentRunner::make_table(title + " — p99", results, schemes,
-                                                          tail_metric, baseline);
-    std::printf("\n");
-    tail.print();
-    extra = ",\n \"p99_table\": " + tail.to_json();
-  }
-  if (!opt.json_path.empty()) {
-    if (write_table_json(opt.json_path, table, opt, extra)) {
-      std::printf("wrote JSON results to %s\n", opt.json_path.c_str());
-    }
-  }
-  return 0;
 }
 
 }  // namespace steins::bench

@@ -1,8 +1,8 @@
 // e2e_throughput: end-to-end simulator throughput trajectory (host ops/sec).
 //
-// Runs the paper's GC and SC comparison matrices (the same cells as
-// `steins_sim --matrix`) and records how many simulated accesses per host
-// second each scheme sustains. The committed BENCH_e2e.json gives every
+// Runs the paper's GC and SC comparison matrices (the cells
+// `paper_figures` derives Figs. 9-16 from) and records how many simulated
+// accesses per host second each scheme sustains. The committed BENCH_e2e.json gives every
 // future PR a measured baseline for the simulation core, the way
 // BENCH_micro.json already does for the crypto kernels.
 //

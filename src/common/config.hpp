@@ -122,7 +122,7 @@ struct SystemConfig {
   /// NVM array write occupancy (write recovery dominates for PCM), cycles.
   Cycle nvm_write_cycles() const { return ns_to_cycles(nvm.t_cwd_ns + nvm.t_wr_ns); }
 
-  /// Human-readable dump (used by bench/tab1_config to reproduce Table I).
+  /// Human-readable dump (bench/paper_figures prints it as Table I).
   std::string describe() const;
 };
 

@@ -1,9 +1,9 @@
 #include "sim/experiment.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <map>
+#include <stdexcept>
 
 #include "common/thread_pool.hpp"
 #include "trace/workloads.hpp"
@@ -25,6 +25,22 @@ std::vector<SchemeSpec> sc_comparison_schemes() {
       {Scheme::kSteins, CounterMode::kSplit, "Steins-SC"},
       {Scheme::kSteins, CounterMode::kGeneral, "Steins-GC"},
   };
+}
+
+std::vector<SchemeSpec> union_schemes(const std::vector<std::vector<SchemeSpec>>& sets) {
+  std::vector<SchemeSpec> out;
+  for (const auto& set : sets) {
+    for (const auto& spec : set) {
+      const auto same = std::ranges::find(out, spec.label, &SchemeSpec::label);
+      if (same == out.end()) {
+        out.push_back(spec);
+      } else if (same->scheme != spec.scheme || same->mode != spec.mode) {
+        throw std::invalid_argument("scheme label " + spec.label +
+                                    " names two different (scheme, mode) pairs");
+      }
+    }
+  }
+  return out;
 }
 
 std::vector<MatrixResult> ExperimentRunner::run_matrix(const std::vector<std::string>& workloads,
@@ -80,21 +96,24 @@ ResultTable ExperimentRunner::make_table(const std::string& title,
   std::map<std::string, std::map<std::string, double>> cells;
   for (const auto& r : results) {
     if (!cells.contains(r.workload)) order.push_back(r.workload);
-    cells[r.workload][r.scheme_label] = metric(r.stats);
+    if (!cells[r.workload].emplace(r.scheme_label, metric(r.stats)).second) {
+      throw std::invalid_argument("duplicate result for scheme " + r.scheme_label +
+                                  " on workload " + r.workload);
+    }
   }
 
   for (const auto& wl : order) {
     const auto& row = cells.at(wl);
-    double base = 1.0;
-    if (!baseline.empty()) {
-      const auto it = row.find(baseline);
-      assert(it != row.end() && "baseline scheme missing from results");
-      base = it->second;
-      if (base == 0.0) base = 1.0;
-    }
+    const auto cell = [&](const std::string& label) {
+      const auto it = row.find(label);
+      if (it != row.end()) return it->second;
+      throw std::invalid_argument("no result for scheme " + label + " on workload " + wl);
+    };
+    double base = baseline.empty() ? 1.0 : cell(baseline);
+    if (base == 0.0) base = 1.0;
     std::vector<double> values;
     values.reserve(columns.size());
-    for (const auto& col : columns) values.push_back(row.at(col) / base);
+    for (const auto& col : columns) values.push_back(cell(col) / base);
     table.add_row(wl, values);
   }
   table.add_geomean_row("gmean");

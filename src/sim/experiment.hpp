@@ -1,7 +1,7 @@
 // Experiment harness: runs (scheme x workload) matrices and formats them
 // the way the paper's figures report them (per-workload bars normalized to
-// a baseline, plus a mean row). Every figure bench in bench/ is a thin
-// wrapper over this.
+// a baseline, plus a mean row). bench/paper_figures derives every matrix
+// figure from one run of this.
 #pragma once
 
 #include <functional>
@@ -30,6 +30,11 @@ std::vector<SchemeSpec> gc_comparison_schemes();
 /// WB-SC (baseline), Steins-SC, Steins-GC.
 std::vector<SchemeSpec> sc_comparison_schemes();
 
+/// The union of scheme sets, one spec per label in first-seen order, so one
+/// matrix run can feed the tables of every set. Throws std::invalid_argument
+/// if a label names two different (scheme, mode) pairs.
+std::vector<SchemeSpec> union_schemes(const std::vector<std::vector<SchemeSpec>>& sets);
+
 struct MatrixResult {
   std::string workload;
   std::string scheme_label;
@@ -54,7 +59,9 @@ class ExperimentRunner {
 
   /// Build a figure table: metric(stats) per cell, normalized per workload
   /// to the scheme labeled `baseline` (empty = absolute values), with a
-  /// geometric-mean row appended.
+  /// geometric-mean row appended; cells of other schemes are ignored.
+  /// Throws std::invalid_argument naming the label if a workload lacks a
+  /// column's or the baseline's cell, or has two cells with one label.
   static ResultTable make_table(const std::string& title,
                                 const std::vector<MatrixResult>& results,
                                 const std::vector<SchemeSpec>& schemes,

@@ -130,5 +130,91 @@ TEST(ExperimentRunner, AbsoluteTableWithEmptyBaseline) {
   EXPECT_DOUBLE_EQ(t.rows()[0].second[0], 123.0);
 }
 
+double cycles(const RunStats& s) { return static_cast<double>(s.cycles); }
+
+MatrixResult cell(const std::string& workload, const std::string& label, Cycle cycles) {
+  MatrixResult r;
+  r.workload = workload;
+  r.scheme_label = label;
+  r.stats.cycles = cycles;
+  return r;
+}
+
+// make_table's std::invalid_argument message, or "" if it did not throw.
+std::string table_error(const std::vector<MatrixResult>& results,
+                        const std::vector<SchemeSpec>& schemes, const std::string& baseline) {
+  try {
+    ExperimentRunner::make_table("t", results, schemes, cycles, baseline);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ExperimentRunner, TableRejectsMissingBaseline) {
+  const std::vector<SchemeSpec> schemes = {
+      {Scheme::kWriteBack, CounterMode::kGeneral, "base"},
+      {Scheme::kSteins, CounterMode::kGeneral, "other"},
+  };
+  const std::string err = table_error({cell("w", "other", 150)}, schemes, "base");
+  EXPECT_NE(err.find("base"), std::string::npos) << err;
+}
+
+TEST(ExperimentRunner, TableRejectsMissingColumn) {
+  const std::vector<SchemeSpec> schemes = {
+      {Scheme::kWriteBack, CounterMode::kGeneral, "base"},
+      {Scheme::kSteins, CounterMode::kGeneral, "other"},
+  };
+  const std::string err = table_error({cell("w", "base", 100)}, schemes, "base");
+  EXPECT_NE(err.find("other"), std::string::npos) << err;
+}
+
+TEST(ExperimentRunner, TableRejectsDuplicateCell) {
+  const std::vector<SchemeSpec> schemes = {
+      {Scheme::kWriteBack, CounterMode::kGeneral, "base"},
+      {Scheme::kSteins, CounterMode::kGeneral, "other"},
+  };
+  const std::string err = table_error(
+      {cell("w", "base", 100), cell("w", "other", 150), cell("w", "other", 170)}, schemes,
+      "base");
+  EXPECT_NE(err.find("other"), std::string::npos) << err;
+}
+
+TEST(ExperimentRunner, UnionSchemesDeduplicatesByLabel) {
+  const auto all = union_schemes({gc_comparison_schemes(), sc_comparison_schemes()});
+  std::vector<std::string> labels;
+  for (const auto& s : all) labels.push_back(s.label);
+  EXPECT_EQ(labels, (std::vector<std::string>{"WB-GC", "ASIT", "STAR", "Steins-GC", "WB-SC",
+                                              "Steins-SC"}));
+  EXPECT_EQ(all[3].scheme, Scheme::kSteins);
+  EXPECT_EQ(all[3].mode, CounterMode::kGeneral);
+}
+
+TEST(ExperimentRunner, UnionSchemesRejectsConflictingLabel) {
+  const std::vector<SchemeSpec> clash = {{Scheme::kSteins, CounterMode::kSplit, "Steins-GC"}};
+  EXPECT_THROW(union_schemes({gc_comparison_schemes(), clash}), std::invalid_argument);
+}
+
+// A figure table read out of a matrix over a superset of its schemes equals
+// the table of a run over just its own set: cells are independent of which
+// other specs share the run. One run of the union set relies on this to
+// feed every figure.
+TEST(ExperimentRunner, TableFromSupersetRunEqualsSubsetRun) {
+  SystemConfig cfg = default_config();
+  cfg.nvm.capacity_bytes = 256ULL << 20;
+  ExperimentRunner runner(cfg);
+  const std::vector<std::string> wls = {"gcc", "phash"};
+  const auto all = union_schemes({gc_comparison_schemes(), sc_comparison_schemes()});
+  const auto superset = runner.run_matrix(wls, all, 2000, 200, false, /*jobs=*/2);
+  for (const auto& set : {gc_comparison_schemes(), sc_comparison_schemes()}) {
+    const auto own = runner.run_matrix(wls, set, 2000, 200);
+    const auto from_union =
+        ExperimentRunner::make_table("t", superset, set, cycles, set.front().label);
+    const auto from_own = ExperimentRunner::make_table("t", own, set, cycles, set.front().label);
+    EXPECT_EQ(from_union.columns(), from_own.columns());
+    EXPECT_EQ(from_union.rows(), from_own.rows()) << set.front().label;
+  }
+}
+
 }  // namespace
 }  // namespace steins

@@ -13,7 +13,8 @@ namespace {
 using testutil::Driver;
 using testutil::small_config;
 
-/// Fill the metadata cache with distinct dirty leaves (fig17 methodology).
+/// Fill the metadata cache with distinct dirty leaves (the Fig. 17
+/// methodology of bench/paper_figures).
 template <typename Mem>
 void fill_dirty(Mem& mem, std::uint64_t leaves) {
   Cycle now = 0;

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Gates on bench JSON output, one subcommand per CI job.
 
-  crypto-backends  steins_sim matrix under a forced backend == the hw one's
+  crypto-backends  paper_figures under a forced backend == the hw one's
+  paper            paper_figures 200000 20000 == BENCH_paper.json, and the
+                   gmean rows keep the paper's orderings and bands
   e2e              e2e_throughput ops/s within 25% of BENCH_e2e.json
   degraded         a media-loss steins_fault campaign salvages, never silent
   attack           attack_campaign: never silent, every cell injected, clean
@@ -10,6 +12,7 @@
                    nested crashes fired, cells == BENCH_recovery.json
   kv-serving       kv_throughput 200000 20000 rows == BENCH_kv.json; the
                    small CI sweep keeps the 4-shard speedup and throughput
+  lsm              lsm_throughput 200000 20000 == BENCH_lsm.json
 
 .github/workflows/ci.yml runs the producing commands, e.g.
 
@@ -25,6 +28,7 @@ import sys
 # Sections of BENCH_kv.json that a paper-scale run reproduces bit-exactly
 # (the wrapper's jobs/crypto_backend fields describe the host run).
 KV_EXACT_SECTIONS = ("table", "serving", "serving_table")
+HOST_FIELDS = ("jobs", "crypto_backend")
 MIN_SPEEDUP_4 = 1.5
 # Ops/sec is a rate, so a small CI sizing compares against the committed
 # full-sizing point directly; runner jitter stays clear of a 25% drop.
@@ -44,14 +48,97 @@ def exact(failures, got, want, key, got_path, want_path):
         failures.append(f"{key} does not regenerate {want_path} exactly")
 
 
-def gate_crypto_backends(args):
+def simulated_sections(path):
+    """Bench JSON as {figure or top-level member: value}, host fields dropped."""
+    doc = load(path)
+    sections = {k: v for k, v in doc.items() if k not in HOST_FIELDS + ("figures",)}
+    sections.update(doc.get("figures", {}))
+    return sections
+
+
+def exact_sections(got_path, want_path):
     failures = []
-    hw, forced = load(args.hw), load(args.forced)
-    for key in ("columns", "rows"):
-        if forced[key] != hw[key]:
-            failures.append(f"{key} differ from the hw backend's")
-    if not failures:
-        print(f"ok: {len(hw['rows'])} rows identical to hw")
+    got, want = simulated_sections(got_path), simulated_sections(want_path)
+    for key in sorted(got.keys() | want.keys()):
+        exact(failures, got, want, key, got_path, want_path)
+    return failures
+
+
+def gate_crypto_backends(args):
+    return exact_sections(args.forced, args.hw)
+
+
+def gate_lsm(args):
+    return exact_sections(args.ci, args.committed)
+
+
+# Paper-shape bands on the gmean rows of BENCH_paper.json (normalized to the
+# WB baseline of each figure). Each constant names the paper value it holds.
+# Figs. 9/10/13/15: ASIT > STAR > Steins-GC (exec 1.20/1.12/~1.0, write
+# latency 2.14/1.67/1.06, traffic 2/1.3/1.05, energy ASIT >> STAR >> Steins).
+GC_ORDER_FIGS = ("fig09", "fig10", "fig13", "fig15")
+# Figs. 9/10/13: Steins-GC stays near WB-GC (~1.0 exec, 1.06 write latency,
+# 1.05 traffic).
+STEINS_GC_MAX = 1.10
+STEINS_GC_MAX_FIGS = ("fig09", "fig10", "fig13")
+# Fig. 10: ASIT write latency 2.14x WB-GC.
+FIG10_ASIT_MIN = 1.8
+# Fig. 12: Steins-SC exec time 0.998x WB-SC.
+FIG12_STEINS_SC_TOL = 0.03
+# Fig. 13: ASIT writes one shadow entry per modification, 2x WB-GC traffic.
+FIG13_ASIT_RANGE = (1.9, 2.1)
+# Fig. 14: Steins-SC write traffic 1.01x WB-SC.
+FIG14_STEINS_SC_MAX = 1.10
+# Fig. 17 @4 MB: ASIT 0.02 s, STAR 0.065 s, Steins-GC 0.08 s, Steins-SC 0.44 s.
+FIG17_PAPER_4MB = {"ASIT": 0.02, "STAR": 0.065, "Steins-GC": 0.08, "Steins-SC": 0.44}
+FIG17_TOL = 0.5
+
+
+def gmean(doc, fig):
+    table = doc["figures"][fig]["table"]
+    row = next(r for r in table["rows"] if r["label"] == "gmean")
+    return dict(zip(table["columns"], row["values"]))
+
+
+def paper_bands(doc):
+    """(description, holds) for every paper-shape check on `doc`."""
+    g = {fig: gmean(doc, fig) for fig in doc["figures"] if fig != "fig17"}
+    lo, hi = FIG13_ASIT_RANGE
+    checks = [(f"{f} ASIT > STAR > Steins-GC", g[f]["ASIT"] > g[f]["STAR"] > g[f]["Steins-GC"])
+              for f in GC_ORDER_FIGS]
+    checks += [(f"{f} Steins-GC <= {STEINS_GC_MAX}", g[f]["Steins-GC"] <= STEINS_GC_MAX)
+               for f in STEINS_GC_MAX_FIGS]
+    checks += [
+        (f"fig10 ASIT >= {FIG10_ASIT_MIN}", g["fig10"]["ASIT"] >= FIG10_ASIT_MIN),
+        ("fig11 Steins-GC lowest", g["fig11"]["Steins-GC"] < min(g["fig11"]["ASIT"],
+                                                                 g["fig11"]["STAR"])),
+        (f"fig12 |Steins-SC - 1| <= {FIG12_STEINS_SC_TOL}",
+         abs(g["fig12"]["Steins-SC"] - 1) <= FIG12_STEINS_SC_TOL),
+        ("fig12 Steins-GC > Steins-SC", g["fig12"]["Steins-GC"] > g["fig12"]["Steins-SC"]),
+        (f"fig13 ASIT in [{lo}, {hi}]", lo <= g["fig13"]["ASIT"] <= hi),
+        (f"fig14 Steins-SC <= {FIG14_STEINS_SC_MAX}",
+         g["fig14"]["Steins-SC"] <= FIG14_STEINS_SC_MAX),
+        ("fig16 Steins-SC < Steins-GC", g["fig16"]["Steins-SC"] < g["fig16"]["Steins-GC"]),
+    ]
+    table = doc["figures"]["fig17"]["table"]
+    rows = [dict(zip(table["columns"], r["values"])) for r in table["rows"]]
+    order = list(FIG17_PAPER_4MB)  # ASIT < STAR < Steins-GC < Steins-SC at every size
+    checks += [(f"fig17 {r['label']} {' < '.join(order)}",
+                all(row[a] < row[b] for a, b in zip(order, order[1:])))
+               for r, row in zip(table["rows"], rows)]
+    for col, paper in FIG17_PAPER_4MB.items():
+        checks.append((f"fig17 {col} rises with cache size",
+                       all(a[col] < b[col] for a, b in zip(rows, rows[1:]))))
+        checks.append((f"fig17 4MB {col} within {FIG17_TOL:.0%} of {paper} s",
+                       abs(rows[-1][col] - paper) <= FIG17_TOL * paper))
+    return checks
+
+
+def gate_paper(args):
+    failures = exact_sections(args.ci, args.committed)
+    bands = paper_bands(load(args.ci))
+    failures += [f"paper shape: {what}" for what, holds in bands if not holds]
+    print(f"{sum(holds for _, holds in bands)} of {len(bands)} paper-shape checks hold")
     return failures
 
 
@@ -142,10 +229,14 @@ def gate_kv_serving(args):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="gate", required=True)
-    cb = sub.add_parser("crypto-backends", help="forced-backend sim matrix == hw's")
-    cb.add_argument("--hw", required=True, help="steins_sim --json under the hw backend")
-    cb.add_argument("--forced", required=True, help="steins_sim --json under the forced one")
+    cb = sub.add_parser("crypto-backends", help="forced-backend paper figures == hw's")
+    cb.add_argument("--hw", required=True, help="paper_figures --json under the hw backend")
+    cb.add_argument("--forced", required=True, help="paper_figures --json under the forced one")
     cb.set_defaults(run=gate_crypto_backends)
+    paper = sub.add_parser("paper", help="exact BENCH_paper.json + paper-shape bands")
+    paper.add_argument("--ci", required=True, help="paper_figures JSON at 200000 20000")
+    paper.add_argument("--committed", default="BENCH_paper.json")
+    paper.set_defaults(run=gate_paper)
     e2e = sub.add_parser("e2e", help="e2e throughput within 25%% of BENCH_e2e.json")
     e2e.add_argument("--ci", required=True, help="e2e_throughput JSON at CI sizing")
     e2e.add_argument("--committed", default="BENCH_e2e.json")
@@ -166,6 +257,10 @@ def main():
     kv.add_argument("--full", required=True, help="kv_throughput JSON at 200000 20000")
     kv.add_argument("--committed", default="BENCH_kv.json")
     kv.set_defaults(run=gate_kv_serving)
+    lsm = sub.add_parser("lsm", help="exact BENCH_lsm.json")
+    lsm.add_argument("--ci", required=True, help="lsm_throughput JSON at 200000 20000")
+    lsm.add_argument("--committed", default="BENCH_lsm.json")
+    lsm.set_defaults(run=gate_lsm)
     args = parser.parse_args()
 
     failures = args.run(args)

@@ -2,7 +2,6 @@
 //
 //   steins_sim --scheme steins --mode sc --workload mcf --accesses 200000
 //   steins_sim --scheme asit --trace my.trace --crash --audit
-//   steins_sim --matrix gc --jobs 8 --json fig09.json
 //   steins_sim --list
 //
 // Runs one (scheme, workload) configuration through the full system (CPU +
@@ -13,11 +12,9 @@
 #include <string>
 
 #include "cli_common.hpp"
-#include "common/thread_pool.hpp"
 #include "crypto/backend.hpp"
 #include "fault/fault.hpp"
 #include "schemes/steins.hpp"
-#include "sim/experiment.hpp"
 #include "sim/system.hpp"
 #include "sit/tree_checker.hpp"
 #include "trace/trace_file.hpp"
@@ -33,9 +30,6 @@ struct Options {
   std::string workload = "phash";
   std::string trace_path;
   std::string dump_trace;
-  std::string matrix;  // "gc" or "sc": run the figure comparison matrix
-  std::string json_path;
-  unsigned jobs = 0;  // 0 = ThreadPool::default_jobs()
   std::uint64_t accesses = 100'000;
   std::uint64_t warmup = 10'000;
   std::size_t mcache_kb = 256;
@@ -62,11 +56,6 @@ void usage() {
       "  --mcache-kb <n>                  metadata cache size (default 256)\n"
       "  --capacity-mb <n>                NVM capacity (default 16384)\n"
       "  --seed <n>                       workload seed (default 1)\n"
-      "  --matrix <gc|sc>                 run the paper's (workload x scheme)\n"
-      "                                   comparison matrix instead of one cell\n"
-      "  --jobs <n>                       matrix worker threads (default: all\n"
-      "                                   hardware threads, or STEINS_JOBS)\n"
-      "  --json <file>                    write matrix results as JSON\n"
       "  --crypto-backend <ref|ttable|hw|auto>\n"
       "                                   crypto backend (default: auto; or\n"
       "                                   STEINS_CRYPTO_BACKEND). Bit-identical;\n"
@@ -105,12 +94,6 @@ bool parse(int argc, char** argv, Options* opt) {
       opt->capacity_mb = p.u64();
     } else if (p.is("--seed")) {
       opt->seed = p.u64();
-    } else if (p.is("--matrix")) {
-      opt->matrix = p.str();
-    } else if (p.is("--jobs")) {
-      opt->jobs = p.jobs();
-    } else if (p.is("--json")) {
-      opt->json_path = p.str();
     } else if (p.is("--crypto-backend")) {
       const std::string name = p.str();
       if (!p.failed() && !cli::apply_crypto_backend(name)) return false;
@@ -166,35 +149,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (!opt.matrix.empty()) {
-      if (opt.matrix != "gc" && opt.matrix != "sc") {
-        std::fprintf(stderr, "unknown matrix mode: %s (expected gc or sc)\n", opt.matrix.c_str());
-        return 2;
-      }
-      const auto schemes =
-          opt.matrix == "gc" ? gc_comparison_schemes() : sc_comparison_schemes();
-      const unsigned jobs = opt.jobs == 0 ? ThreadPool::default_jobs() : opt.jobs;
-      SystemConfig cfg = default_config();
-      cfg.counter_mode = (opt.matrix == "sc") ? CounterMode::kSplit : CounterMode::kGeneral;
-      cfg.secure.metadata_cache.size_bytes = opt.mcache_kb * 1024;
-      cfg.nvm.capacity_bytes = opt.capacity_mb << 20;
-      std::printf("running the %s comparison matrix: %zu workloads x %zu schemes, %u job%s\n",
-                  opt.matrix.c_str(), workload_names().size(), schemes.size(), jobs,
-                  jobs == 1 ? "" : "s");
-      ExperimentRunner runner(cfg);
-      const auto results = runner.run_matrix(workload_names(), schemes, opt.accesses,
-                                             opt.warmup, false, jobs);
-      const ResultTable table = ExperimentRunner::make_table(
-          "execution time (normalized to " + schemes[0].label + ")", results, schemes,
-          [](const RunStats& s) { return static_cast<double>(s.cycles); }, schemes[0].label);
-      table.print();
-      if (!opt.json_path.empty()) {
-        if (!cli::write_json_file(opt.json_path, table.to_json() + "\n")) return 1;
-        std::printf("wrote JSON results to %s\n", opt.json_path.c_str());
-      }
-      return 0;
-    }
-
     std::unique_ptr<TraceSource> trace;
     if (!opt.trace_path.empty()) {
       trace = std::make_unique<VectorTrace>(read_trace_file(opt.trace_path));
