@@ -6,10 +6,12 @@
 // all-ones key (~0) is therefore not storable; addresses and node indices
 // never take that value.
 //
-// No erase: tables are either append-only for a run or rebuilt wholesale
-// (see System::resync_truth_after_crash). for_each visits slots in table
-// order, which is deterministic for a fixed insertion sequence; callers that
-// need a canonical order sort the keys they collect.
+// No erase: tables are append-only for a run. A table that must forget a
+// key overwrites its value in place with one its readers treat as absent
+// (System::resync_truth_after_crash zeroes lost blocks). for_each visits
+// slots in table order, which is deterministic for a fixed insertion
+// sequence; callers that need a canonical order sort the keys they collect.
+// Value references stay valid until the next insertion.
 #pragma once
 
 #include <algorithm>

@@ -35,8 +35,19 @@ class MacEngine {
   /// block for recovery"); pass 0 when unused.
   std::uint64_t data_mac(const Block& ciphertext, Addr addr, std::uint64_t counter,
                          std::uint64_t aux = 0) const {
-    const std::uint64_t words[3] = {addr, counter, aux};
-    return sip_.hash_concat({ciphertext.data(), kBlockSize}, words, 3);
+    return data_mac_finish(data_mac_prefix(ciphertext, addr), counter, aux);
+  }
+
+  /// data_mac split at the counter: the (ciphertext, address) prefix is
+  /// absorbed once, and each candidate counter only finishes the hash.
+  /// Recovery's counter search tries up to a window of counters per block.
+  SipHash24::Prefix data_mac_prefix(const Block& ciphertext, Addr addr) const {
+    return sip_.absorb({ciphertext.data(), kBlockSize}, &addr, 1);
+  }
+  std::uint64_t data_mac_finish(const SipHash24::Prefix& prefix, std::uint64_t counter,
+                                std::uint64_t aux = 0) const {
+    const std::uint64_t words[2] = {counter, aux};
+    return sip_.finish(prefix, words, 2);
   }
 
  private:

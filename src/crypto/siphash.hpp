@@ -89,24 +89,50 @@ class SipHash24 {
     return s.finalize();
   }
 
+  /// A message prefix already run through the compression rounds: the
+  /// state plus the byte count absorbed so far (always a multiple of 8).
+  struct Prefix {
+    detail::SipState state;
+    std::uint64_t bytes;
+  };
+
+  /// Absorb `data` (whose size must be a multiple of 8) followed by
+  /// `nwords` words. finish() completes the message; a caller hashing many
+  /// messages that share this prefix pays for it once.
+  Prefix absorb(std::span<const std::uint8_t> data, const std::uint64_t* words,
+                std::size_t nwords) const {
+    Prefix p{init(), 0};
+    return absorb_more(p, data, words, nwords);
+  }
+
+  /// Append `nwords` trailing words to `p` and finalize — identical to
+  /// hash() over the whole concatenated message.
+  std::uint64_t finish(Prefix p, const std::uint64_t* words, std::size_t nwords) const {
+    p = absorb_more(p, {}, words, nwords);
+    p.state.compress((p.bytes & 0xff) << 56);
+    return p.state.finalize();
+  }
+
   /// Hash of `data` (whose size must be a multiple of 8) followed by
   /// `nwords` trailing words — identical to hash() over the concatenated
   /// buffer, without assembling one. This is the composite-MAC hot path
   /// (node payload + address + counter, ciphertext + address + counters).
   std::uint64_t hash_concat(std::span<const std::uint8_t> data, const std::uint64_t* words,
                             std::size_t nwords) const {
-    detail::SipState s = init();
-    const std::size_t n = data.size();
-    for (std::size_t off = 0; off < n; off += 8) {
-      s.compress(detail::load_le64(data.data() + off));
-    }
-    for (std::size_t i = 0; i < nwords; ++i) s.compress(words[i]);
-    const std::uint64_t total = n + 8 * nwords;
-    s.compress((total & 0xff) << 56);
-    return s.finalize();
+    return finish(absorb(data, nullptr, 0), words, nwords);
   }
 
  private:
+  static Prefix absorb_more(Prefix p, std::span<const std::uint8_t> data,
+                            const std::uint64_t* words, std::size_t nwords) {
+    for (std::size_t off = 0; off < data.size(); off += 8) {
+      p.state.compress(detail::load_le64(data.data() + off));
+    }
+    for (std::size_t i = 0; i < nwords; ++i) p.state.compress(words[i]);
+    p.bytes += data.size() + 8 * nwords;
+    return p;
+  }
+
   detail::SipState init() const {
     return {0x736f6d6570736575ULL ^ k0_, 0x646f72616e646f6dULL ^ k1_,
             0x6c7967656e657261ULL ^ k0_, 0x7465646279746573ULL ^ k1_};

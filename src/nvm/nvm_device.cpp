@@ -103,9 +103,15 @@ void NvmDevice::inject_ecc_error(Addr addr, unsigned bit, bool correctable,
   ln.flags |= Line::kBlock;
 }
 
+const NvmDevice::EccLineState* NvmDevice::ecc_fault(Addr line) const {
+  if (ecc_faults_.empty()) return nullptr;
+  const auto it = ecc_faults_.find(line);
+  return it == ecc_faults_.end() ? nullptr : &it->second;
+}
+
 bool NvmDevice::ecc_uncorrectable(Addr addr) const {
-  auto it = ecc_faults_.find(align(addr));
-  return it != ecc_faults_.end() && it->second.uncorrectable;
+  const EccLineState* fault = ecc_fault(align(addr));
+  return fault != nullptr && fault->uncorrectable;
 }
 
 NvmDevice::EccRead NvmDevice::read_block_ecc(Addr addr, Block* out) {
@@ -139,13 +145,25 @@ NvmDevice::EccRead NvmDevice::read_block_ecc(Addr addr, Block* out) {
 
 Block NvmDevice::peek_corrected(Addr addr, bool* uncorrectable) const {
   const Addr line = align(addr);
-  auto it = ecc_faults_.find(line);
-  if (it == ecc_faults_.end()) {
-    if (uncorrectable != nullptr) *uncorrectable = false;
-    return peek_block(line);
+  const EccLineState* fault = ecc_fault(line);
+  if (uncorrectable != nullptr) *uncorrectable = fault != nullptr && fault->uncorrectable;
+  if (fault != nullptr && !fault->uncorrectable) return fault->golden;
+  return peek_block(line);
+}
+
+bool NvmDevice::peek_resident(Addr addr, Block* image, std::uint64_t* tag,
+                              bool* uncorrectable) const {
+  const Addr line = align(addr);
+  const Line* ln = store_.find(line);
+  const EccLineState* fault = ecc_fault(line);
+  *uncorrectable = fault != nullptr && fault->uncorrectable;
+  if (fault != nullptr && !fault->uncorrectable) {
+    *image = fault->golden;
+  } else {
+    *image = ln == nullptr ? zero_block() : ln->block;
   }
-  if (uncorrectable != nullptr) *uncorrectable = it->second.uncorrectable;
-  return it->second.uncorrectable ? peek_block(line) : it->second.golden;
+  if (tag != nullptr) *tag = ln == nullptr ? 0 : ln->tag;
+  return ln != nullptr && (ln->flags & Line::kBlock) != 0;
 }
 
 std::uint64_t NvmDevice::wear_limit(Addr addr) const {

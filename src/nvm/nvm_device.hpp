@@ -102,6 +102,11 @@ class NvmDevice {
   /// when the line's content is unrecoverable.
   Block peek_corrected(Addr addr, bool* uncorrectable) const;
 
+  /// One-probe recovery scan of a line, charging no traffic: returns
+  /// contains(addr) and sets *image to peek_corrected(addr), *tag (when
+  /// non-null) to read_tag(addr) and *uncorrectable as peek_corrected does.
+  bool peek_resident(Addr addr, Block* image, std::uint64_t* tag, bool* uncorrectable) const;
+
   /// Retire an uncorrectable line to a spare from the remap pool. Clears the
   /// fault and drops the stale block/tag images (the spare starts blank).
   /// Returns false when the pool is exhausted.
@@ -173,6 +178,10 @@ class NvmDevice {
     bool uncorrectable = false;
     unsigned retries_needed = 0;
   };
+
+  /// The line's ECC fault record, or nullptr. Skips the hash probe while no
+  /// line is faulted (the common case for every scan).
+  const EccLineState* ecc_fault(Addr line) const;
 
   // --- Line arena ---------------------------------------------------------
   //

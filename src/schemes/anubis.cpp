@@ -108,15 +108,15 @@ void AnubisMemory::recover_impl(RecoveryReport& result) {
   const std::size_t lines = mcache_.num_lines();
   bool ecc_evidence = false;
 
-  // Pass 1: read every shadow entry, rebuild the cache-tree, compare roots.
+  // Pass 1: read every shadow entry (image and identity tag in one probe),
+  // rebuild the cache-tree, compare roots.
   std::vector<Block> images(lines);
+  std::vector<std::uint64_t> tags(lines, 0);
   std::vector<bool> present(lines, false);
   for (std::size_t i = 0; i < lines; ++i) {
-    const Addr saddr = shadow_addr(i);
     ++recovery_reads_;
-    if (!dev_.contains(saddr)) continue;
     bool dead = false;
-    const Block img = dev_.peek_corrected(saddr, &dead);
+    if (!dev_.peek_resident(shadow_addr(i), &images[i], &tags[i], &dead)) continue;
     if (dead) {
       // The entry's latest node image is gone. Its identity survives in the
       // ECC-colocated tag: quarantine the data the lost node covered and
@@ -124,14 +124,13 @@ void AnubisMemory::recover_impl(RecoveryReport& result) {
       ecc_evidence = true;
       result.tracking_degraded = true;
       NodeId id;
-      if (decode_id(dev_.read_tag(saddr), &id)) {
+      if (decode_id(tags[i], &id)) {
         quarantine_node_subtree(id, QuarantineReason::kEccMeta);
       }
       continue;
     }
-    images[i] = img;
     present[i] = true;
-    tree_[0][i] = leaf_mac(img, i);
+    tree_[0][i] = leaf_mac(images[i], i);
   }
   recompute_internals();
   if (tree_.back()[0] != root_reg_) {
@@ -153,7 +152,7 @@ void AnubisMemory::recover_impl(RecoveryReport& result) {
   for (std::size_t i = 0; i < lines; ++i) {
     if (!present[i]) continue;
     NodeId id;
-    if (!decode_id(dev_.read_tag(shadow_addr(i)), &id)) continue;
+    if (!decode_id(tags[i], &id)) continue;
     SitNode node = SitNode::from_block(id, false, images[i]);
     const std::uint64_t key = encode_id(id);
     if (SitNode* existing = latest.find(key)) {
@@ -172,10 +171,10 @@ void AnubisMemory::recover_impl(RecoveryReport& result) {
     // and its fresher entry overwritten by the line's next occupant.
     // Counters are monotone, so skip entries at or below the NVM image —
     // the node is clean and current in NVM.
-    if (dev_.contains(addr)) {
+    Block nvm_img;
+    bool dead = false;
+    if (dev_.peek_resident(addr, &nvm_img, nullptr, &dead)) {
       ++recovery_reads_;
-      bool dead = false;
-      const Block nvm_img = dev_.peek_corrected(addr, &dead);
       if (!dead) {
         const SitNode nvm_node = SitNode::from_block(node.id, false, nvm_img);
         if (nvm_node.parent_value() >= node.parent_value()) continue;

@@ -394,12 +394,12 @@ bool SteinsMemory::recovery_counters(NodeId id, RecoveryCtx& ctx, SitNode* out) 
     return true;
   }
   const Addr addr = geo_.node_addr(id);
-  const bool exists = dev_.contains(addr);
   ++recovery_reads_;
+  Block img;
   bool dead = false;
+  const bool exists = dev_.peek_resident(addr, &img, nullptr, &dead);
   std::uint64_t stored = 0;
-  SitNode node = SitNode::from_block(id, leaf_is_split() && id.level == 0,
-                                     dev_.peek_corrected(addr, &dead), &stored);
+  SitNode node = SitNode::from_block(id, leaf_is_split() && id.level == 0, img, &stored);
   if (exists && dead) {
     quarantine_subtree_ctx(id, ctx, QuarantineReason::kEccMeta);
     return false;
@@ -442,7 +442,9 @@ void SteinsMemory::rebuild_from_children(NodeId id, const SitNode& stale, Recove
     if (in_quarantined(ctx, child)) continue;  // keep the stale slot value
     const Addr caddr = geo_.node_addr(child);
     ++recovery_reads_;
-    if (!dev_.contains(caddr)) {
+    Block img;
+    bool dead = false;
+    if (!dev_.peek_resident(caddr, &img, nullptr, &dead)) {
       if (stale.gc.counters[j] != 0) {
         note_attack(ctx.result, static_cast<int>(child.level),
                     "child node erased during recovery");
@@ -452,10 +454,9 @@ void SteinsMemory::rebuild_from_children(NodeId id, const SitNode& stale, Recove
       node.gc.counters[j] = 0;
       continue;
     }
-    bool dead = false;
     std::uint64_t stored = 0;
-    const SitNode cnode = SitNode::from_block(child, leaf_is_split() && child.level == 0,
-                                              dev_.peek_corrected(caddr, &dead), &stored);
+    const SitNode cnode =
+        SitNode::from_block(child, leaf_is_split() && child.level == 0, img, &stored);
     if (dead) {
       quarantine_subtree_ctx(child, ctx, QuarantineReason::kEccMeta);
       continue;  // stale slot value stays; the subtree's data is blocked
@@ -481,15 +482,27 @@ void SteinsMemory::rebuild_leaf_from_data(NodeId id, const SitNode& stale, Recov
   SitNode node = stale;
   node.id = id;
   const std::uint64_t cover = geo_.leaf_coverage();
-  for (std::uint64_t j = 0; j < cover; ++j) {
-    const std::uint64_t block = id.index * cover + j;
-    if (block >= geo_.data_blocks()) break;
+  const std::uint64_t first = id.index * cover;
+  const std::uint64_t end = std::min(first + cover, geo_.data_blocks());
+  // The covered lines are scattered through the device table: hint them a
+  // few blocks ahead so the probes overlap the MAC work (host-side only).
+  constexpr std::uint64_t kPrefetchAhead = 8;
+  for (std::uint64_t b = first; b < end && b < first + kPrefetchAhead; ++b) {
+    dev_.prefetch(b * kBlockSize);
+  }
+  const crypto::MacEngine& mac = cme_.mac();
+  for (std::uint64_t block = first; block < end; ++block) {
+    if (block + kPrefetchAhead < end) dev_.prefetch((block + kPrefetchAhead) * kBlockSize);
+    const std::uint64_t j = block - first;
     const Addr daddr = block * kBlockSize;
     ++recovery_reads_;
     const std::uint64_t stale_ctr = node.split
                                         ? static_cast<std::uint64_t>(stale.sc.minors[j])
                                         : stale.gc.counters[j];
-    if (!dev_.contains(daddr)) {
+    Block ct;
+    std::uint64_t tag = 0;
+    bool dead = false;
+    if (!dev_.peek_resident(daddr, &ct, &tag, &dead)) {
       if (stale_ctr != 0) {
         if (qmap_.read_blocked(daddr)) {
           // A previously retired line: its image was dropped with the remap.
@@ -502,8 +515,6 @@ void SteinsMemory::rebuild_leaf_from_data(NodeId id, const SitNode& stale, Recov
       }
       continue;  // never-written block: counter stays zero
     }
-    bool dead = false;
-    const Block ct = dev_.peek_corrected(daddr, &dead);
     if (dead) {
       // The line's content is gone; its counter increments since the stale
       // image are unknowable. Retire the line, keep the stale counter.
@@ -511,7 +522,7 @@ void SteinsMemory::rebuild_leaf_from_data(NodeId id, const SitNode& stale, Recov
       ctx.linc_skip = true;
       continue;
     }
-    const std::uint64_t tag = dev_.read_tag(daddr);
+    const crypto::SipHash24::Prefix prefix = mac.data_mac_prefix(ct, daddr);
     bool found = false;
     if (node.split) {
       // Write-through-on-overflow keeps the major current in NVM, so only
@@ -519,7 +530,7 @@ void SteinsMemory::rebuild_leaf_from_data(NodeId id, const SitNode& stale, Recov
       const std::uint64_t major = stale.sc.major;
       for (std::uint64_t m = stale_ctr; m < kMinorMax; ++m) {
         const std::uint64_t ctr = (major << kMinorBits) | m;
-        if (cme_.data_mac(ct, daddr, ctr, major) == tag) {
+        if (mac.data_mac_finish(prefix, ctr, major) == tag) {
           node.sc.minors[j] = static_cast<std::uint8_t>(m);
           found = true;
           break;
@@ -528,7 +539,7 @@ void SteinsMemory::rebuild_leaf_from_data(NodeId id, const SitNode& stale, Recov
     } else {
       // Stop-loss bounds the search window to kStopLoss increments.
       for (std::uint64_t c = stale_ctr; c <= stale_ctr + kStopLoss; ++c) {
-        if (cme_.data_mac(ct, daddr, c, 0) == tag) {
+        if (mac.data_mac_finish(prefix, c, 0) == tag) {
           node.gc.counters[j] = c;
           found = true;
           break;
@@ -694,12 +705,13 @@ void SteinsMemory::recover_impl(RecoveryCtx& ctx, RecoveryReport& result) {
       // Read the stale version and verify it against its (already
       // recovered) parent or the root register.
       const Addr addr = geo_.node_addr(id);
-      const bool exists = dev_.contains(addr);
       ++recovery_reads_;
+      Block img;
       bool dead = false;
+      const bool exists = dev_.peek_resident(addr, &img, nullptr, &dead);
       std::uint64_t stored = 0;
-      const SitNode stale = SitNode::from_block(id, leaf_is_split() && id.level == 0,
-                                                dev_.peek_corrected(addr, &dead), &stored);
+      const SitNode stale =
+          SitNode::from_block(id, leaf_is_split() && id.level == 0, img, &stored);
       if (exists && dead) {
         quarantine_subtree_ctx(id, ctx, QuarantineReason::kEccMeta);
         continue;

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "common/status.hpp"
 #include "fault/fault.hpp"
@@ -166,28 +167,71 @@ RecoveryResult System::crash_and_recover(
   return recover_with_retry(*mem_, fault_injector_, recovery_policy_);
 }
 
+namespace {
+
+struct TruthSlot {
+  std::uint64_t block;  // address / kBlockSize
+  Block* value;
+};
+
+// Orders slots by block index with an LSD radix sort, 11 bits a pass and
+// only as many passes as the largest index needs. Block indices are unique,
+// so the result is exactly the ascending order a comparison sort gives.
+void sort_by_block(std::vector<TruthSlot>& slots, std::uint64_t max_block) {
+  constexpr unsigned kBits = 11;
+  constexpr std::size_t kBuckets = std::size_t{1} << kBits;
+  std::vector<TruthSlot> scratch(slots.size());
+  for (unsigned shift = 0; shift < 64 && (max_block >> shift) != 0; shift += kBits) {
+    std::size_t start[kBuckets] = {};
+    for (const TruthSlot& s : slots) ++start[(s.block >> shift) & (kBuckets - 1)];
+    std::size_t sum = 0;
+    for (std::size_t& c : start) sum += std::exchange(c, sum);
+    for (const TruthSlot& s : slots) scratch[start[(s.block >> shift) & (kBuckets - 1)]++] = s;
+    slots.swap(scratch);
+  }
+}
+
+}  // namespace
+
 void System::resync_truth_after_crash() {
-  // Rebuild the truth table from the survivors, visiting blocks in address
-  // order so post-crash read timing is independent of hash-table layout.
-  std::vector<Addr> addrs;
-  addrs.reserve(truth_.size());
-  truth_.for_each([&](Addr a, const Block&) { addrs.push_back(a); });
-  std::sort(addrs.begin(), addrs.end());
-  FlatMap<Block> survivors;
-  for (const Addr a : addrs) {
-    if (!mem_->device().contains(a)) continue;  // never persisted: reads zero
-    Block actual;
+  // Re-read every block the program ever stored straight into its own
+  // truth slot, in address order so post-crash read timing is independent
+  // of hash-table layout. Nothing is inserted meanwhile, so the slot
+  // pointers stay valid.
+  std::vector<TruthSlot> slots;
+  slots.reserve(truth_.size());
+  std::uint64_t max_block = 0;
+  truth_.for_each([&](Addr a, Block& value) {
+    slots.push_back({a / kBlockSize, &value});
+    max_block = std::max(max_block, a / kBlockSize);
+  });
+  sort_by_block(slots, max_block);
+
+  // The reads walk scattered device and metadata-cache slots: hint them a
+  // few blocks ahead, as run() does (no simulated effect).
+  constexpr std::size_t kPrefetchAhead = 8;
+  const NvmDevice& dev = mem_->device();
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (i + kPrefetchAhead < slots.size()) {
+      mem_->prefetch_hint(slots[i + kPrefetchAhead].block * kBlockSize);
+      __builtin_prefetch(slots[i + kPrefetchAhead].value, 1);
+    }
+    const Addr a = slots[i].block * kBlockSize;
+    Block& value = *slots[i].value;
+    if (!dev.contains(a)) {  // never persisted: reads zero
+      value = zero_block();
+      continue;
+    }
     try {
-      mem_->read_block(a, cpu_.now(), &actual);
+      mem_->read_block(a, cpu_.now(), &value);
     } catch (const StatusError& e) {
       if (!is_unavailable(e.code())) throw;
       // Quarantined after salvage: the block is typed-unavailable, not a
-      // value — drop it so later loads surface the error, not plaintext.
-      continue;
+      // value. Its zeroed slot reads as never stored, so later loads
+      // surface the typed error from the read path, not plaintext.
+      value = zero_block();
     }
-    survivors.get_or_create(a) = actual;
   }
-  truth_ = std::move(survivors);
 }
 
 void System::reset_stats() {

@@ -85,12 +85,16 @@ class System {
   const RecoveryRetryPolicy& recovery_policy() const { return recovery_policy_; }
 
   /// After a successful crash_and_recover(): reconcile the plaintext ground
-  /// truth with what actually survived in NVM. Stores that never reached the
-  /// controller (lost with the caches) are dropped; blocks with a stale
-  /// persistent image are reloaded through the secure path. This is what a
-  /// rebooted application observes, and it is required before driving
-  /// further loads after a crash that lost unpersisted stores. Must not be
-  /// called when recovery failed (reads would throw IntegrityViolation).
+  /// truth with what actually survived in NVM, in place and in ascending
+  /// address order. Blocks with a persistent image are reloaded through the
+  /// secure path into their existing truth slots. Stores that never reached
+  /// the controller (lost with the caches) and typed-unavailable
+  /// (quarantined) blocks are zeroed in place: a zero slot reads exactly
+  /// like a never-stored block, and a quarantined one still fails typed on
+  /// its next load. This is what a rebooted application observes, and it is
+  /// required before driving further loads after a crash that lost
+  /// unpersisted stores. Must not be called when recovery failed (reads
+  /// would throw IntegrityViolation).
   void resync_truth_after_crash();
 
   /// Collect statistics accumulated since the last reset.

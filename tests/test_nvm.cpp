@@ -77,6 +77,70 @@ TEST(NvmDevice, ResidentBlocksAreSortedAndBounded) {
   EXPECT_EQ(tags[0], 0x200u);
 }
 
+// peek_resident answers contains / peek_corrected / read_tag in one probe.
+void expect_peek_resident_matches(const NvmDevice& dev, Addr addr) {
+  Block image;
+  std::uint64_t tag = 0;
+  bool dead = false;
+  const bool resident = dev.peek_resident(addr, &image, &tag, &dead);
+  bool uncorrectable = false;
+  const Block corrected = dev.peek_corrected(addr, &uncorrectable);
+  EXPECT_EQ(resident, dev.contains(addr)) << addr;
+  EXPECT_EQ(image, corrected) << addr;
+  EXPECT_EQ(tag, dev.read_tag(addr)) << addr;
+  EXPECT_EQ(dead, uncorrectable) << addr;
+}
+
+TEST(NvmDevice, PeekResidentMatchesSeparateProbes) {
+  NvmConfig cfg;
+  cfg.endurance_mean_writes = 4;  // a line wears out on its 4th demand write
+  cfg.wear_level_fraction = 0.0;  // no proactive migration to reset the wear
+  NvmDevice dev(cfg);
+  const Addr never = 0x1000, tag_only = 0x1040, clean = 0x1080, correctable = 0x10c0,
+             uncorrectable = 0x1100, remapped = 0x1140, worn = 0x1180;
+  dev.write_tag(tag_only, 0x77);
+  for (const Addr a : {clean, correctable, uncorrectable, remapped}) {
+    dev.write_block(a, filled(static_cast<std::uint8_t>(a >> 6)));
+    dev.write_tag(a, a * 3);
+  }
+  // No line is faulted yet: the ECC-free fast path.
+  for (const Addr a : {never, tag_only, clean, correctable}) {
+    expect_peek_resident_matches(dev, a);
+    expect_peek_resident_matches(dev, a + 5);  // sub-block addresses alias
+  }
+
+  dev.inject_ecc_error(correctable, 3, /*correctable=*/true, /*retries=*/2);
+  dev.inject_ecc_error(uncorrectable, 9, /*correctable=*/false, 0);
+  dev.inject_ecc_error(remapped, 11, /*correctable=*/false, 0);
+  ASSERT_TRUE(dev.remap_line(remapped));
+  for (int i = 0; i < 4; ++i) dev.write_block(worn, filled(0x5a));
+  ASSERT_TRUE(dev.worn_out(worn));
+
+  const auto reads = dev.stats().reads;
+  for (const Addr a : {never, tag_only, clean, correctable, uncorrectable, remapped, worn}) {
+    expect_peek_resident_matches(dev, a);
+  }
+  EXPECT_EQ(dev.stats().reads, reads);  // peeks charge no traffic
+
+  Block image;
+  std::uint64_t tag = 0;
+  bool dead = true;
+  EXPECT_FALSE(dev.peek_resident(never, &image, &tag, &dead));
+  EXPECT_EQ(image, zero_block());
+  EXPECT_EQ(tag, 0u);
+  EXPECT_FALSE(dead);
+  EXPECT_FALSE(dev.peek_resident(tag_only, &image, &tag, &dead));
+  EXPECT_EQ(tag, 0x77u);
+  EXPECT_TRUE(dev.peek_resident(correctable, &image, &tag, &dead));
+  EXPECT_EQ(image, filled(static_cast<std::uint8_t>(correctable >> 6)));  // golden image
+  EXPECT_FALSE(dead);
+  EXPECT_TRUE(dev.peek_resident(uncorrectable, &image, &tag, &dead));
+  EXPECT_TRUE(dead);
+  EXPECT_FALSE(dev.peek_resident(remapped, &image, &tag, &dead));  // the spare starts blank
+  EXPECT_TRUE(dev.peek_resident(worn, &image, &tag, &dead));
+  EXPECT_TRUE(dead);
+}
+
 TEST(NvmChannel, ReadLatencyMatchesArrayTiming) {
   const SystemConfig cfg = default_config();
   NvmDevice dev(cfg.nvm);

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "crypto/mac.hpp"
 #include "crypto/otp.hpp"
 #include "crypto/siphash.hpp"
@@ -50,6 +51,49 @@ TEST(SipHash24, HashConcatMatchesByteHash) {
   std::memcpy(buf + 56, words, sizeof(words));
   EXPECT_EQ(sip.hash_concat({buf, 56}, words, 3), sip.hash({buf, sizeof(buf)}));
   EXPECT_EQ(sip.hash_concat({}, words, 2), sip.hash({buf + 56, 16}));
+}
+
+TEST(SipHash24, AbsorbFinishMatchesHashConcat) {
+  // Any split of the trailing words between absorb() and finish() hashes
+  // the same message as hash_concat(), and one prefix finishes many times.
+  const SipHash24 sip = reference_keyed();
+  SplitMix64 rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::uint8_t data[64];
+    for (std::uint8_t& b : data) b = static_cast<std::uint8_t>(rng.next());
+    const std::size_t n = 8 * (rng.next() % 9);
+    std::uint64_t words[4];
+    for (std::uint64_t& w : words) w = rng.next();
+    const std::size_t nwords = rng.next() % 5;
+    const std::size_t split = rng.next() % (nwords + 1);
+    const SipHash24::Prefix prefix = sip.absorb({data, n}, words, split);
+    EXPECT_EQ(sip.finish(prefix, words + split, nwords - split),
+              sip.hash_concat({data, n}, words, nwords));
+    EXPECT_EQ(sip.finish(prefix, words + split, nwords - split),
+              sip.finish(prefix, words + split, nwords - split));
+  }
+}
+
+TEST(MacEngine, DataMacPrefixFinishMatchesDataMac) {
+  // The recovery counter search: one (ciphertext, address) prefix, then
+  // every candidate counter only finishes the MAC.
+  MacEngine mac(7);
+  SplitMix64 rng(5);
+  for (int trial = 0; trial < 100; ++trial) {
+    Block ct;
+    for (std::uint8_t& b : ct) b = static_cast<std::uint8_t>(rng.next());
+    const Addr addr = (rng.next() % (1u << 24)) * kBlockSize;
+    const auto prefix = mac.data_mac_prefix(ct, addr);
+    for (int k = 0; k < 4; ++k) {
+      const std::uint64_t ctr = rng.next(), aux = (k % 2 == 0) ? 0 : rng.next();
+      const std::uint64_t words[3] = {addr, ctr, aux};
+      std::uint8_t msg[kBlockSize + sizeof(words)];
+      std::memcpy(msg, ct.data(), kBlockSize);
+      std::memcpy(msg + kBlockSize, words, sizeof(words));
+      EXPECT_EQ(mac.data_mac_finish(prefix, ctr, aux), mac.data_mac(ct, addr, ctr, aux));
+      EXPECT_EQ(mac.data_mac_finish(prefix, ctr, aux), mac.mac64(msg));
+    }
+  }
 }
 
 TEST(MacEngine, KeyedAndDeterministic) {

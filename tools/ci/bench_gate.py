@@ -13,6 +13,8 @@
   kv-serving       kv_throughput 200000 20000 rows == BENCH_kv.json; the
                    small CI sweep keeps the 4-shard speedup and throughput
   lsm              lsm_throughput 200000 20000 == BENCH_lsm.json
+  fault            steins_fault --trials 200 --seed 42 == BENCH_fault.json
+                   (any --jobs: only the jobs field may differ)
 
 .github/workflows/ci.yml runs the producing commands, e.g.
 
@@ -69,6 +71,10 @@ def gate_crypto_backends(args):
 
 
 def gate_lsm(args):
+    return exact_sections(args.ci, args.committed)
+
+
+def gate_fault(args):
     return exact_sections(args.ci, args.committed)
 
 
@@ -261,6 +267,10 @@ def main():
     lsm.add_argument("--ci", required=True, help="lsm_throughput JSON at 200000 20000")
     lsm.add_argument("--committed", default="BENCH_lsm.json")
     lsm.set_defaults(run=gate_lsm)
+    fault = sub.add_parser("fault", help="exact BENCH_fault.json")
+    fault.add_argument("--ci", required=True, help="steins_fault --trials 200 --seed 42 JSON")
+    fault.add_argument("--committed", default="BENCH_fault.json")
+    fault.set_defaults(run=gate_fault)
     args = parser.parse_args()
 
     failures = args.run(args)
