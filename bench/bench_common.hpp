@@ -26,7 +26,8 @@ struct BenchOptions {
 };
 
 /// Parse sizing from positional argv[1]/argv[2] or STEINS_ACCESSES /
-/// STEINS_WARMUP, parallelism from `--jobs N` / STEINS_JOBS (default: all
+/// STEINS_WARMUP (accesses default to `default_accesses` when neither is
+/// given), parallelism from `--jobs N` / STEINS_JOBS (default: all
 /// hardware threads; 1 reproduces the sequential run exactly), JSON output
 /// from `--json FILE` / STEINS_JSON, and the crypto backend from
 /// `--crypto-backend ref|ttable|hw|auto` (the STEINS_CRYPTO_BACKEND env var
@@ -34,8 +35,10 @@ struct BenchOptions {
 /// bit-identical, so this only affects host wall-clock — it is recorded in
 /// the JSON provenance so trajectory points stay comparable. Unknown
 /// --flags, flags missing their value, and extra positionals exit(2).
-inline BenchOptions parse_options(int argc, char** argv) {
+inline BenchOptions parse_options(int argc, char** argv,
+                                  std::uint64_t default_accesses = 200'000) {
   BenchOptions opt;
+  opt.accesses = default_accesses;
   opt.jobs = ThreadPool::default_jobs();  // reads STEINS_JOBS
   if (const char* env = std::getenv("STEINS_ACCESSES")) {
     opt.accesses = std::strtoull(env, nullptr, 10);

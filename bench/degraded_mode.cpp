@@ -121,9 +121,9 @@ CellResult run_cell(Scheme scheme, CounterMode mode, std::uint64_t dead_lines,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOptions opt = bench::parse_options(argc, argv);
   // parse_options() sizes benches in accesses; here one "access" is one key.
-  const std::uint64_t keys = opt.accesses == 200'000 ? 192 : opt.accesses;
+  bench::BenchOptions opt = bench::parse_options(argc, argv, /*default_accesses=*/192);
+  const std::uint64_t keys = opt.accesses;
   std::uint64_t seed = 42;
   if (const char* env = std::getenv("STEINS_SEED")) {
     seed = std::strtoull(env, nullptr, 10);

@@ -1,18 +1,19 @@
 // Recovery-storm bench: multi-cycle crash/recovery trials with nested
 // recovery crashes, recorded as a per-(scheme, cycle-count) JSON artifact.
 //
-// Every trial runs K workload/crash/recover cycles on one instance; each
-// cycle's recovery is itself crashed at a trial-varied persist boundary
-// (odd trials re-arm the crash on every retry, so convergence relies on
-// the exponential persist-budget backoff) and re-entered through the
-// bounded retry loop. The artifact records the attempts-to-converge
-// distribution and the modeled recovery-time p50/p99 per cell.
+// Every trial runs K workload/crash/recover cycles on one instance
+// (run_fault_trial with FaultTrialOptions::cycles = K); each cycle's
+// recovery is itself crashed at a trial-varied persist boundary (odd
+// trials re-arm the crash on every retry, so convergence relies on the
+// exponential persist-budget backoff) and re-entered through the bounded
+// retry loop. The artifact records the attempts-to-converge distribution
+// and the modeled recovery-time p50/p99 per cell.
 //
-// Positional argv[1] (or STEINS_ACCESSES) sets the trials per cell,
-// STEINS_SEED overrides the campaign seed, and --jobs/--json/--verbose
-// follow the other benches. Exit status is nonzero on any silent-corruption
-// or recovery-crash-unrecoverable verdict so CI can gate on the artifact it
-// uploads.
+// Positional argv[1] (or STEINS_ACCESSES) sets the trials per cell
+// (default 8), STEINS_SEED overrides the campaign seed, and
+// --jobs/--json/--verbose follow the other benches. Exit status is nonzero
+// on any silent-corruption or recovery-crash-unrecoverable verdict so CI
+// can gate on the artifact it uploads.
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -47,16 +48,16 @@ double percentile(std::vector<double> v, double p) {
 struct Cell {
   SchemeSpec spec;
   std::uint64_t cycles = 1;
-  std::vector<MulticycleOutcome> outcomes;
+  std::vector<TrialOutcome> outcomes;
 
   VerdictCounts verdicts() const {
     VerdictCounts out;
-    for (const MulticycleOutcome& o : outcomes) out.add(o.verdict);
+    for (const TrialOutcome& o : outcomes) out.add(o.verdict);
     return out;
   }
   std::vector<double> all_attempts() const {
     std::vector<double> out;
-    for (const MulticycleOutcome& o : outcomes) {
+    for (const TrialOutcome& o : outcomes) {
       for (const std::uint64_t a : o.attempts_per_cycle) {
         out.push_back(static_cast<double>(a));
       }
@@ -65,7 +66,7 @@ struct Cell {
   }
   std::vector<double> all_seconds() const {
     std::vector<double> out;
-    for (const MulticycleOutcome& o : outcomes) {
+    for (const TrialOutcome& o : outcomes) {
       for (const double s : o.recovery_seconds_per_cycle) out.push_back(s);
     }
     return out;
@@ -75,11 +76,10 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions opt = bench::parse_options(argc, argv);
-
   // parse_options() sizes benches in accesses; here one "access" is one
   // trial per (scheme, cycle-count) cell.
-  const std::uint64_t trials = opt.accesses == 200'000 ? 8 : opt.accesses;
+  const bench::BenchOptions opt = bench::parse_options(argc, argv, /*default_accesses=*/8);
+  const std::uint64_t trials = opt.accesses;
   std::uint64_t seed = 42;
   if (const char* env = std::getenv("STEINS_SEED")) {
     seed = std::strtoull(env, nullptr, 10);
@@ -118,16 +118,15 @@ int main(int argc, char** argv) {
   // Flatten (cell, trial) across the pool; every slot is a pure function
   // of (seed, scheme, cycles, trial), so the artifact is bit-identical for
   // any --jobs value.
-  ThreadPool pool(opt.jobs);
-  pool.for_each_index(cells.size() * trials, [&](std::size_t flat) {
+  ThreadPool::run_indexed(opt.jobs, cells.size() * trials, [&](std::size_t flat) {
     Cell& cell = cells[flat / trials];
     const std::uint64_t trial = flat % trials;
     FaultTrialOptions w = workload;
+    w.cycles = cell.cycles;
     w.recovery_crash_boundary = 1 + trial % 7;
     w.recovery_crash_rearm = trial % 2 == 1;
     const FaultClass cls = kStormClasses[trial % std::size(kStormClasses)];
-    cell.outcomes[trial] =
-        run_multicycle_trial(cell.spec, cls, seed, trial, cell.cycles, w);
+    cell.outcomes[trial] = run_fault_trial(cell.spec, cls, seed, trial, w);
   });
 
   VerdictCounts all;
@@ -154,7 +153,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(other), a_p50, a_max,
                 percentile(seconds, 99) * 1e3);
     if (opt.verbose) {
-      for (const MulticycleOutcome& o : cell.outcomes) {
+      for (const TrialOutcome& o : cell.outcomes) {
         std::printf("  trial %llu -> %s (%s), %llu cycle(s)\n",
                     static_cast<unsigned long long>(o.trial),
                     verdict_name(o.verdict), o.detail.c_str(),

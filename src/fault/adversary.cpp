@@ -469,8 +469,7 @@ AttackOutcome run_attack_trial(const SchemeSpec& spec, AdversaryScenario scenari
 
   AttackOutcome out;
   out.scenario = scenario;
-  out.trial = run_fault_trial_hooked(spec, FaultClass::kNone, campaign_seed, trial, w,
-                                     &hooks);
+  out.trial = run_fault_trial(spec, FaultClass::kNone, campaign_seed, trial, w, &hooks);
   return out;
 }
 

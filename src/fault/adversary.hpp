@@ -29,10 +29,11 @@
 //                     tiny spare pool, driving uncorrectable-line
 //                     retirement through the quarantine machinery.
 //
-// Trials reuse run_fault_trial_hooked() with a clean crash (the queue
-// drains intact), so the audit runs in strict-window mode: every posted
-// write was acknowledged durable, and serving ANY older version is silent
-// corruption unless a check fired first. Verdicts carry detection latency
+// Trials run the one fault-trial engine, run_fault_trial(), for a single
+// cycle with the scenario's hooks and a clean crash (the queue drains
+// intact), so the audit runs in strict-window mode: every posted write was
+// acknowledged durable, and serving ANY older version is silent corruption
+// unless a check fired first. Verdicts carry detection latency
 // (accesses from injection to the firing check) and blast radius
 // (lines/subtrees/blocks quarantined).
 #pragma once
@@ -154,7 +155,7 @@ struct AttackCampaignResult {
 
   void print(bool verbose = false, std::FILE* out = stdout) const;
 
-  /// Machine-readable record (BENCH_attack.json): options, per-cell verdict
+  /// Machine-readable record (BENCH_attack.json's `attack`): options, per-cell verdict
   /// counts, detection-latency and blast-radius percentiles, layer
   /// histogram, silent trial details.
   std::string to_json() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -60,14 +61,7 @@ std::vector<SchemeSpec> campaign_schemes(CounterMode mode) {
 
 TrialOutcome run_fault_trial(const SchemeSpec& spec, FaultClass cls,
                              std::uint64_t campaign_seed, std::uint64_t trial,
-                             const FaultTrialOptions& workload) {
-  return run_fault_trial_hooked(spec, cls, campaign_seed, trial, workload, nullptr);
-}
-
-TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
-                                    std::uint64_t campaign_seed, std::uint64_t trial,
-                                    const FaultTrialOptions& workload,
-                                    const TrialHooks* hooks) {
+                             const FaultTrialOptions& workload, const TrialHooks* hooks) {
   TrialOutcome out;
   out.trial = trial;
   out.cls = cls;
@@ -88,12 +82,18 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
   auto* base = dynamic_cast<SecureMemoryBase*>(mem.get());
 
   // The workload stream is seeded independently of the fault plan so the
-  // same trial index replays the same trace under every fault class.
+  // same trial index replays the same trace under every fault class; one
+  // stream runs through every cycle.
   SplitMix64 sm(campaign_seed ^ (trial * 0x2545f4914f6cdd1dULL));
   Xoshiro256 rng(sm.next());
 
-  std::map<Addr, std::uint64_t> versions;  // latest committed-or-posted version
+  // Latest committed-or-posted version per block; each audit pins it to
+  // the version recovery kept (0 = the block reads back as zeros).
+  std::map<Addr, std::uint64_t> versions;
   Cycle now = 0;
+  const auto expected = [&](Addr addr, std::uint64_t v) {
+    return v == 0 ? zero_block() : trial_pattern_block(addr, v);
+  };
 
   // Detection-latency clock: demand accesses since the injection point.
   std::uint64_t accesses = 0;
@@ -110,19 +110,6 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
   const auto silent = [&](std::string detail) {
     out.verdict = Verdict::kSilent;
     out.detail = std::move(detail);
-  };
-  // Blast radius after the trial settled (whatever the verdict): retired
-  // lines, quarantined subtree ranges, and resident data blocks a read
-  // would now refuse.
-  const auto fill_blast = [&]() {
-    const QuarantineMap& qm = base->quarantine();
-    out.blast_lines = qm.line_count();
-    out.blast_subtrees = qm.range_count();
-    if (!qm.empty()) {
-      for (const Addr a : base->device().resident_blocks(0, cfg.nvm.capacity_bytes)) {
-        if (qm.read_blocked(a)) ++out.blast_blocks;
-      }
-    }
   };
 
   const auto pick_addr = [&]() -> Addr {
@@ -141,16 +128,14 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
     Block got;
     now = mem->read_block(addr, now, &got);
     ++accesses;
-    const Block want =
-        it == versions.end() ? zero_block() : trial_pattern_block(addr, it->second);
-    return got == want;
+    return got == expected(addr, it == versions.end() ? 0 : it->second);
   };
 
   // Runtime phases tolerate *typed* unavailable errors (wear retirements,
-  // scrub quarantines): degraded service during the run is a legal outcome,
-  // not a harness crash. Integrity violations before anything was injected
-  // stay fatal (scored silent below); after injection they are detection.
-  bool runtime_degraded = false;
+  // scrub quarantines, an earlier cycle's write-offs): degraded service is
+  // a legal outcome, not a harness crash. Integrity violations before
+  // anything was injected stay fatal; after injection they are detection.
+  bool degraded = false;
   std::uint64_t scrub_detected_base = 0;
   enum class OpResult { kOk, kMismatch, kDetected, kUnavailable };
   const auto run_op = [&](Addr addr, bool write) -> OpResult {
@@ -161,14 +146,14 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
       }
       return do_read_check(addr) ? OpResult::kOk : OpResult::kMismatch;
     } catch (const IntegrityViolation& e) {
-      if (injected_at.has_value()) {
+      if (out.faults_injected > 0) {
         detected(std::string("runtime read raised: ") + e.what(), "read");
         return OpResult::kDetected;
       }
-      throw;  // no fault armed yet: a genuine bug, let the caller see it
+      throw;  // no fault injected yet: a genuine bug, let the caller see it
     } catch (const StatusError& e) {
       if (!is_unavailable(e.code())) throw;
-      runtime_degraded = true;
+      degraded = true;
       return OpResult::kUnavailable;
     }
   };
@@ -178,7 +163,8 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
            base->ft_stats().scrub_detected > scrub_detected_base;
   };
 
-  const bool done = [&]() -> bool {  // true = verdict already set
+  // One cycle: returns true once a terminal verdict is set.
+  const auto run_cycle = [&](std::uint64_t c) -> bool {
     // Phase 1: mixed traffic, then a full metadata flush — the checkpoint.
     // Everything written before it is durably committed; recovery may not
     // roll any block back past its checkpoint version.
@@ -195,7 +181,17 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
       }
       if (res == OpResult::kDetected) return true;
     }
-    base->flush_all_metadata();
+    try {
+      base->flush_all_metadata();
+    } catch (const StatusError& e) {
+      // Only a later cycle can get here: the flush had to fetch metadata an
+      // earlier cycle's recovery wrote off. Refusing the checkpoint with a
+      // typed error is degraded service, and it ends the trial.
+      if (!is_unavailable(e.code()) || out.faults_injected == 0) throw;
+      out.verdict = Verdict::kSalvaged;
+      out.detail = std::string("checkpoint flush refused: ") + e.what();
+      return true;
+    }
     const std::map<Addr, std::uint64_t> checkpoint_flush = versions;
     if (hooks != nullptr && hooks->after_checkpoint) hooks->after_checkpoint(*base);
 
@@ -226,7 +222,10 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
 
     // Crash with the fault plan armed; post-crash media faults follow, then
     // any adversarial post-crash mutation (replay / forgery / tearing).
-    const FaultPlan plan = FaultPlan::derive(cls, campaign_seed, trial);
+    // Cycle 0 draws the single-crash plan; later cycles fold their index
+    // into the plan seed.
+    const FaultPlan plan = FaultPlan::derive(
+        cls, c == 0 ? campaign_seed : campaign_seed ^ (c * 0xd1b54a32d192ed03ULL), trial);
     FaultInjector injector(plan);
     mem->set_fault_injector(&injector);
     mem->crash();
@@ -234,15 +233,16 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
     // The injector stays installed through recovery: a nested recovery
     // crash, when armed, fires at the chosen persist boundary inside it.
     out.faults_injected += injector.events().size();
-    out.events = injector.event_summary();
+    const auto log_events = [&](const std::string& events) {
+      if (!events.empty()) out.events += out.events.empty() ? events : "; " + events;
+    };
+    log_events(injector.event_summary());
     if (hooks != nullptr && hooks->post_crash) {
       std::string events;
       if (hooks->post_crash(*base, &events)) {
         if (!injected_at.has_value()) injected_at = accesses;
         ++out.faults_injected;
-        if (!events.empty()) {
-          out.events += out.events.empty() ? events : "; " + events;
-        }
+        log_events(events);
       }
     }
 
@@ -270,8 +270,8 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
       return true;
     }
     mem->set_fault_injector(nullptr);
-    out.recovery_attempts = r.attempt_count();
-    out.recovery_seconds = r.seconds;
+    out.attempts_per_cycle.push_back(r.attempt_count());
+    out.recovery_seconds_per_cycle.push_back(r.seconds);
     out.resume_cursor = r.resume_cursor;
     CrashVerdict cv;
     cv.faulted = cls != FaultClass::kNone || hooks != nullptr;
@@ -285,16 +285,17 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
       }
       return true;
     }
-    bool degraded = cv.salvaged || runtime_degraded;
-    std::uint64_t unavailable_reads = 0;
+    degraded = degraded || cv.salvaged;
+    out.detail = r.summary();  // the salvage report, if this trial ends salvaged
 
     // Full audit: every block the workload ever wrote must read back as an
     // authentic committed version in [checkpoint, latest]. A *typed*
     // unavailable error (quarantined/uncorrectable) is the legal degraded
     // outcome for a block recovery wrote off — refusing service is the
     // opposite of serving wrong plaintext.
+    std::uint64_t unavailable_reads = 0;
     now = 0;
-    for (const auto& [addr, latest] : versions) {
+    for (auto& [addr, latest] : versions) {
       Block got;
       try {
         now = mem->read_block(addr, now, &got);
@@ -322,6 +323,7 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
                  " rolled back to zero past checkpoint v" + std::to_string(cp));
           return true;
         }
+        latest = 0;
         continue;
       }
       const std::uint64_t v = pattern_version(got);
@@ -332,12 +334,20 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
                std::to_string(cp) + ", " + std::to_string(latest) + "])");
         return true;
       }
+      latest = v;  // later cycles may not roll behind the audited version
     }
+    if (unavailable_reads > 0) {
+      out.detail +=
+          "; " + std::to_string(unavailable_reads) + " audit reads unavailable (typed)";
+    }
+    return false;
+  };
 
-    // Functional epilogue: the recovered tree must accept and verify fresh
-    // writes (a recovery that leaves the SIT wedged is not a recovery).
-    // Quarantined targets may refuse with a typed error; that is degraded
-    // service, not a wedge.
+  // Functional epilogue: the recovered tree must accept and verify fresh
+  // writes (a recovery that leaves the SIT wedged is not a recovery).
+  // Quarantined targets may refuse with a typed error; that is degraded
+  // service, not a wedge. Returns true once a terminal verdict is set.
+  const auto probe_writes = [&]() -> bool {
     std::uint64_t probes = 0;
     for (const auto& [addr, latest] : versions) {
       (void)latest;
@@ -367,184 +377,54 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
         return true;
       }
     }
+    return false;
+  };
 
+  const std::uint64_t cycles = std::max<std::uint64_t>(workload.cycles, 1);
+  const bool terminal = [&]() {
+    for (std::uint64_t c = 0; c < cycles; ++c) {
+      out.cycles_run = c + 1;
+      if (run_cycle(c)) return true;
+    }
+    return probe_writes();
+  }();
+
+  if (!out.attempts_per_cycle.empty()) {  // else no recovery completed: keep 1 / 0.0
+    out.recovery_attempts = std::accumulate(out.attempts_per_cycle.begin(),
+                                            out.attempts_per_cycle.end(), std::uint64_t{0});
+    out.recovery_seconds = std::accumulate(out.recovery_seconds_per_cycle.begin(),
+                                           out.recovery_seconds_per_cycle.end(), 0.0);
+  }
+  if (!terminal) {
+    const bool retried = std::any_of(out.attempts_per_cycle.begin(),
+                                     out.attempts_per_cycle.end(),
+                                     [](std::uint64_t a) { return a > 1; });
     if (degraded) {
       out.verdict = Verdict::kSalvaged;
-      out.detail = r.summary();
-      if (unavailable_reads > 0) {
-        out.detail +=
-            "; " + std::to_string(unavailable_reads) + " audit reads unavailable (typed)";
-      }
-      return true;
-    }
-    if (out.recovery_attempts > 1) {
+    } else if (retried) {
       out.verdict = Verdict::kRecoveredAfterRetry;
       out.detail = "converged after " + std::to_string(out.recovery_attempts) +
                    " recovery attempts";
-      return true;
-    }
-    out.verdict = Verdict::kRecovered;
-    return true;
-  }();
-  (void)done;
-
-  fill_blast();
-  return out;
-}
-
-MulticycleOutcome run_multicycle_trial(const SchemeSpec& spec, FaultClass cls,
-                                       std::uint64_t campaign_seed, std::uint64_t trial,
-                                       std::uint64_t cycles,
-                                       const FaultTrialOptions& workload,
-                                       const MulticycleHooks* hooks) {
-  MulticycleOutcome out;
-  out.trial = trial;
-  out.scheme = spec.label;
-
-  SystemConfig cfg = default_config();
-  cfg.nvm.capacity_bytes = workload.capacity_mb << 20;
-  cfg.secure.metadata_cache.size_bytes = workload.mcache_kb * 1024;
-  cfg.counter_mode = spec.mode;
-  cfg.secure.ft = workload.ft;
-  std::unique_ptr<SecureMemory> mem = make_scheme(spec.scheme, cfg);
-  auto* base = dynamic_cast<SecureMemoryBase*>(mem.get());
-
-  SplitMix64 sm(campaign_seed ^ (trial * 0x2545f4914f6cdd1dULL) ^ 0xC1C1E5ULL);
-  Xoshiro256 rng(sm.next());
-  std::map<Addr, std::uint64_t> versions;
-  Cycle now = 0;
-  std::string events;
-
-  const auto pick_addr = [&]() -> Addr {
-    return rng.below(workload.footprint_blocks) * kBlockSize;
-  };
-  const auto do_write = [&](Addr addr) {
-    const std::uint64_t v = versions[addr] + 1;
-    now = mem->write_block(addr, trial_pattern_block(addr, v), now);
-    versions[addr] = v;
-  };
-  // Degraded service (typed unavailability from earlier cycles' quarantine)
-  // is a legal steady state across cycles, never a trial abort.
-  bool degraded = false;
-  bool retried = false;
-  const auto run_op = [&](Addr addr, bool write) -> bool {
-    try {
-      if (write) {
-        do_write(addr);
-      } else {
-        Block got;
-        now = mem->read_block(addr, now, &got);
-      }
-      return true;
-    } catch (const StatusError& e) {
-      if (!is_unavailable(e.code())) throw;
-      degraded = true;
-      return true;
-    }
-  };
-
-  for (std::uint64_t c = 0; c < cycles; ++c) {
-    out.cycles_run = c + 1;
-    // Workload: mixed phase, checkpoint flush, dirty burst — same anatomy
-    // as a single-cycle trial, continuing the same version history.
-    try {
-      for (std::uint64_t i = 0; i < workload.ops; ++i) run_op(pick_addr(), rng.chance(0.75));
-      base->flush_all_metadata();
-    } catch (const IntegrityViolation& e) {
-      out.verdict = Verdict::kSilent;
-      out.detail = "cycle " + std::to_string(c) + " workload raised: " + e.what();
-      return out;
-    }
-    const std::map<Addr, std::uint64_t> checkpoint = versions;
-    try {
-      for (std::uint64_t i = 0; i < workload.ops / 2; ++i) run_op(pick_addr(), rng.chance(0.9));
-    } catch (const IntegrityViolation& e) {
-      out.verdict = Verdict::kSilent;
-      out.detail = "cycle " + std::to_string(c) + " burst raised: " + e.what();
-      return out;
-    }
-
-    // Crash under this cycle's fault plan; adversarial mutation follows.
-    const FaultPlan plan = FaultPlan::derive(cls, campaign_seed, trial * 31 + c);
-    FaultInjector injector(plan);
-    mem->set_fault_injector(&injector);
-    mem->crash();
-    injector.apply_post_crash(*mem);
-    out.faults_injected += injector.events().size();
-    if (hooks != nullptr && hooks->post_crash) {
-      std::string ev;
-      if (hooks->post_crash(*base, c, &ev)) {
-        ++out.faults_injected;
-        if (!ev.empty()) events += (events.empty() ? "" : "; ") + ev;
-      }
-    }
-    if (workload.recovery_crash_boundary != 0) {
-      injector.arm_recovery_crash(workload.recovery_crash_boundary,
-                                  workload.recovery_crash_rearm);
-    }
-    const RecoveryResult r = recover_with_retry(*mem, &injector, workload.retry_policy);
-    mem->set_fault_injector(nullptr);
-    out.attempts_per_cycle.push_back(r.attempt_count());
-    out.recovery_seconds_per_cycle.push_back(r.seconds);
-    if (r.attempt_count() > 1) retried = true;
-    CrashVerdict cv;
-    cv.faulted = cls != FaultClass::kNone || hooks != nullptr;
-    if (classify_recovery(r, &cv)) {
-      out.verdict = cv.verdict(spec.scheme);
-      out.detail = "cycle " + std::to_string(c) + ": " + cv.detail;
-      if (out.verdict == Verdict::kDetected && !events.empty()) {
-        out.detail += " [" + events + "]";
-      }
-      return out;
-    }
-    degraded = degraded || cv.salvaged;
-
-    // Audit: every written block serves an authentic version from
-    // [checkpoint, latest] (or refuses with a typed error when degraded).
-    for (const auto& [addr, latest] : versions) {
-      Block got;
-      try {
-        now = mem->read_block(addr, now, &got);
-      } catch (const IntegrityViolation& e) {
-        out.verdict = Verdict::kDetected;
-        out.detail = "cycle " + std::to_string(c) + " audit read raised: " + e.what();
-        return out;
-      } catch (const StatusError& e) {
-        if (is_unavailable(e.code())) {
-          degraded = true;
-          continue;
-        }
-        out.verdict = Verdict::kSilent;
-        out.detail = "cycle " + std::to_string(c) + " audit read crashed: " + e.what();
-        return out;
-      }
-      const auto cp_it = checkpoint.find(addr);
-      const std::uint64_t cp = cp_it == checkpoint.end() ? 0 : cp_it->second;
-      const std::uint64_t v = got == zero_block() ? 0 : pattern_version(got);
-      const bool ok = (v == 0 && cp == 0) ||
-                      (v >= std::max<std::uint64_t>(cp, 1) && v <= latest &&
-                       got == trial_pattern_block(addr, v));
-      if (!ok) {
-        out.verdict = Verdict::kSilent;
-        out.detail = "cycle " + std::to_string(c) + " block " +
-                     std::to_string(addr / kBlockSize) + " read unauthentic state (v" +
-                     std::to_string(v) + ", window [" + std::to_string(cp) + ", " +
-                     std::to_string(latest) + "])";
-        return out;
-      }
-      // Pin the audited version: later cycles may not roll behind it.
-      versions[addr] = std::max<std::uint64_t>(v, cp);
+      if (cycles > 1) out.detail += " over " + std::to_string(cycles) + " cycles";
+    } else {
+      out.verdict = Verdict::kRecovered;
+      out.detail.clear();
     }
   }
+  if (terminal && cycles > 1 && !out.detail.empty()) {
+    out.detail = "cycle " + std::to_string(out.cycles_run - 1) + ": " + out.detail;
+  }
 
-  out.verdict = degraded  ? Verdict::kSalvaged
-                : retried ? Verdict::kRecoveredAfterRetry
-                          : Verdict::kRecovered;
-  if (out.verdict == Verdict::kRecoveredAfterRetry) {
-    std::uint64_t total_attempts = 0;
-    for (const std::uint64_t a : out.attempts_per_cycle) total_attempts += a;
-    out.detail = std::to_string(out.cycles_run) + " cycles, " +
-                 std::to_string(total_attempts) + " recovery attempts total";
+  // Blast radius after the trial settled (whatever the verdict): retired
+  // lines, quarantined subtree ranges, and resident data blocks a read
+  // would now refuse.
+  const QuarantineMap& qm = base->quarantine();
+  out.blast_lines = qm.line_count();
+  out.blast_subtrees = qm.range_count();
+  if (!qm.empty()) {
+    for (const Addr a : base->device().resident_blocks(0, cfg.nvm.capacity_bytes)) {
+      if (qm.read_blocked(a)) ++out.blast_blocks;
+    }
   }
   return out;
 }

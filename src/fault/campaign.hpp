@@ -54,6 +54,9 @@ struct FaultTrialOptions {
   bool recovery_crash_rearm = false;
   /// Bounded re-entry budget for crashed recoveries.
   RecoveryRetryPolicy retry_policy;
+  /// Crash/recover cycles per trial on one instance (the recovery storm
+  /// runs 2 and 4; every other campaign 1).
+  std::uint64_t cycles = 1;
 };
 
 struct TrialOutcome {
@@ -84,9 +87,12 @@ struct TrialOutcome {
   std::uint64_t blast_blocks = 0;    // resident data blocks left read-blocked
 
   // --- Re-entrant recovery telemetry (DESIGN.md §17) ----------------------
-  std::uint64_t recovery_attempts = 1;  // attempts the recovery took
-  double recovery_seconds = 0.0;        // modeled seconds across all attempts
-  std::uint64_t resume_cursor = 0;      // persisted resume-cursor entries
+  std::uint64_t recovery_attempts = 1;  // attempts, summed over cycles
+  double recovery_seconds = 0.0;        // modeled seconds, summed over cycles
+  std::uint64_t resume_cursor = 0;      // last recovery's resume-cursor entries
+  std::uint64_t cycles_run = 0;         // cycles started (< cycles: ended early)
+  std::vector<std::uint64_t> attempts_per_cycle;  // one per completed recovery
+  std::vector<double> recovery_seconds_per_cycle;
 };
 
 struct CampaignOptions {
@@ -149,7 +155,8 @@ std::string classify_detect_layer(const std::string& detail);
 
 /// Hooks the adversary engine (fault/adversary.hpp) threads through a
 /// trial. The campaign owns the workload/audit logic; the hooks own the
-/// scenario logic. All callbacks may be empty.
+/// scenario logic. All callbacks may be empty; in a multi-cycle trial they
+/// fire in every cycle.
 struct TrialHooks {
   /// Midway through phase 1, immediately after an extra metadata flush
   /// (only flushed when this hook is set): the adversary's recording
@@ -175,54 +182,19 @@ struct TrialHooks {
   bool strict_window = false;
 };
 
-/// Run one (scheme, trial) cell: seeded workload, checkpoint flush, dirty
-/// burst, faulted crash, recovery, full audit of every written block.
+/// Run one (scheme, trial) cell: `workload.cycles` crash/recover cycles on
+/// one instance (DESIGN.md §16). Each cycle runs checked mixed traffic, a
+/// checkpoint flush, a dirty burst, a faulted crash, guarded recovery and a
+/// full audit that pins every block's audited version for the next cycle;
+/// a write/read probe and the blast-radius count follow the last cycle.
+/// The verdict is the worst across cycles; a terminal one (detected /
+/// silent / unrecoverable) ends the trial early, as does a later cycle's
+/// checkpoint flush refused with a typed error (salvaged). `hooks` thread an
+/// adversary scenario through every cycle (the fault campaign passes none).
 TrialOutcome run_fault_trial(const SchemeSpec& spec, FaultClass cls,
                              std::uint64_t campaign_seed, std::uint64_t trial,
-                             const FaultTrialOptions& workload);
-
-/// Same trial anatomy with adversary hooks threaded through (the fault
-/// campaign is the hooks == nullptr special case).
-TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
-                                    std::uint64_t campaign_seed, std::uint64_t trial,
-                                    const FaultTrialOptions& workload,
-                                    const TrialHooks* hooks);
-
-/// Outcome of one K-cycle crash/recover trial (run_multicycle_trial): the
-/// same instance crashes and recovers `cycles_run` times, with fresh
-/// workload between cycles and optional adversarial mutation after each
-/// crash. The verdict is the worst across cycles; the trial stops early on
-/// a terminal verdict (detected / silent / unrecoverable).
-struct MulticycleOutcome {
-  std::uint64_t trial = 0;
-  std::string scheme;
-  Verdict verdict = Verdict::kRecovered;
-  std::string detail;
-  std::uint64_t cycles_run = 0;
-  std::uint64_t faults_injected = 0;
-  std::vector<std::uint64_t> attempts_per_cycle;  // recovery attempts, per cycle
-  std::vector<double> recovery_seconds_per_cycle;  // modeled recovery time, per cycle
-};
-
-/// Per-cycle hooks for multi-cycle trials. All callbacks may be empty.
-struct MulticycleHooks {
-  /// After cycle c's crash drain (and the fault plan's media faults),
-  /// before recovery. Return true when a mutation was applied; the string,
-  /// if nonempty, is appended to the trial's injected-event log.
-  std::function<bool(SecureMemoryBase&, std::uint64_t cycle, std::string*)> post_crash;
-};
-
-/// Run one K-cycle trial: each cycle drives the seeded workload (mixed
-/// phase, checkpoint flush, dirty burst), crashes under fault plan
-/// FaultPlan::derive(cls, seed, trial*31+cycle), recovers through the
-/// bounded retry loop (honoring workload.recovery_crash_boundary /
-/// retry_policy), and audits every written block against the
-/// [checkpoint, latest] window before the next cycle begins.
-MulticycleOutcome run_multicycle_trial(const SchemeSpec& spec, FaultClass cls,
-                                       std::uint64_t campaign_seed, std::uint64_t trial,
-                                       std::uint64_t cycles,
-                                       const FaultTrialOptions& workload,
-                                       const MulticycleHooks* hooks = nullptr);
+                             const FaultTrialOptions& workload,
+                             const TrialHooks* hooks = nullptr);
 
 /// Run the whole matrix. Trial t draws fault class classes[t % size], so
 /// every class gets an equal share of trials; `jobs` > 1 fans cells across

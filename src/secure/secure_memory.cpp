@@ -232,10 +232,15 @@ Cycle SecureMemoryBase::persist_with_self_increment(SitNode& node, Cycle now,
 }
 
 Cycle SecureMemoryBase::persist_detached(SitNode& node, Cycle now) {
+  // Deregister on every exit: a typed error or a nested recovery crash can
+  // unwind through persist_node, and a stale entry would point into the
+  // caller's dead stack frame.
   inflight_persists_.push_back(&node);
-  now = persist_node(node, now);
-  inflight_persists_.pop_back();
-  return now;
+  struct Deregister {
+    std::vector<const SitNode*>& inflight;
+    ~Deregister() { inflight.pop_back(); }
+  } deregister{inflight_persists_};
+  return persist_node(node, now);
 }
 
 void SecureMemoryBase::finish_clean(NodeId id, Cycle& now) {
@@ -433,9 +438,6 @@ void SecureMemoryBase::crash() {
   channel_.crash_drain_all(mc_free_at_);
   mcache_.clear();
   mc_free_at_ = 0;
-  // A nested crash can unwind mid-persist_detached, leaving a dangling
-  // in-flight registration; the node it pointed at is volatile and gone.
-  inflight_persists_.clear();
 }
 
 void SecureMemoryBase::flush_all_metadata() {

@@ -223,7 +223,7 @@ TEST(SteinsResumeCursor, SurvivesAdrLossAndSeedsNextAttempt) {
 
 // ---------------------------------------------------------------------------
 // Campaign integration: the nested-crash knobs thread through the fault
-// trial and the multi-cycle trial, producing the two new verdicts.
+// trial, single- and multi-cycle, producing the two new verdicts.
 
 FaultTrialOptions small_trial_workload() {
   FaultTrialOptions w;
@@ -258,10 +258,11 @@ TEST(ReentrantCampaign, ExhaustedBudgetYieldsUnrecoverable) {
 }
 
 TEST(ReentrantCampaign, MulticycleCleanTrialRecovers) {
+  FaultTrialOptions w = small_trial_workload();
+  w.cycles = 3;
   const SchemeSpec spec{Scheme::kSteins, CounterMode::kGeneral,
                         scheme_name(Scheme::kSteins, CounterMode::kGeneral)};
-  const MulticycleOutcome out =
-      run_multicycle_trial(spec, FaultClass::kNone, 5, 0, 3, small_trial_workload());
+  const TrialOutcome out = run_fault_trial(spec, FaultClass::kNone, 5, 0, w);
   EXPECT_EQ(out.verdict, Verdict::kRecovered) << out.detail;
   EXPECT_EQ(out.cycles_run, 3u);
   ASSERT_EQ(out.attempts_per_cycle.size(), 3u);
@@ -272,9 +273,10 @@ TEST(ReentrantCampaign, MulticycleCleanTrialRecovers) {
 TEST(ReentrantCampaign, MulticycleNestedCrashEveryCycleConverges) {
   FaultTrialOptions w = small_trial_workload();
   w.recovery_crash_boundary = 1;
+  w.cycles = 3;
   const SchemeSpec spec{Scheme::kSteins, CounterMode::kGeneral,
                         scheme_name(Scheme::kSteins, CounterMode::kGeneral)};
-  const MulticycleOutcome out = run_multicycle_trial(spec, FaultClass::kNone, 5, 0, 3, w);
+  const TrialOutcome out = run_fault_trial(spec, FaultClass::kNone, 5, 0, w);
   EXPECT_EQ(out.verdict, Verdict::kRecoveredAfterRetry) << out.detail;
   EXPECT_EQ(out.cycles_run, 3u);
   ASSERT_EQ(out.attempts_per_cycle.size(), 3u);

@@ -6,8 +6,9 @@
                    gmean rows keep the paper's orderings and bands
   e2e              e2e_throughput ops/s within 25% of BENCH_e2e.json
   degraded         a media-loss steins_fault campaign salvages, never silent
-  attack           attack_campaign: never silent, every cell injected, clean
-                   endurance audits, matrix == BENCH_attack.json
+  attack           steins_attack --trials 1050 --seed 42 --json: never silent,
+                   every cell injected, clean endurance audits, matrix and
+                   endurance == BENCH_attack.json
   recovery-storm   recovery_storm 8: no silent or non-convergent recovery,
                    nested crashes fired, cells == BENCH_recovery.json
   kv-serving       kv_throughput 200000 20000 rows == BENCH_kv.json; the
@@ -183,8 +184,9 @@ def gate_attack(args):
     for rep in d["endurance"]:
         if rep["audit_mismatches"] != 0 or not rep["recovery_clean"]:
             failures.append(f"endurance audit failed: {rep}")
-    exact(failures, d["attack"], load(args.committed)["attack"], "matrix", args.ci,
-          args.committed)
+    committed = load(args.committed)
+    exact(failures, d["attack"], committed["attack"], "matrix", args.ci, args.committed)
+    exact(failures, d, committed, "endurance", args.ci, args.committed)
     if not failures:
         print(f"ok: {len(cells)} cells, silent=0, every cell injected")
     return failures
@@ -251,7 +253,7 @@ def main():
     deg.add_argument("--json", required=True, help="steins_fault --json output")
     deg.set_defaults(run=gate_degraded)
     atk = sub.add_parser("attack", help="attack campaign clean + exact BENCH_attack.json")
-    atk.add_argument("--ci", required=True, help="attack_campaign JSON")
+    atk.add_argument("--ci", required=True, help="steins_attack --json output")
     atk.add_argument("--committed", default="BENCH_attack.json")
     atk.set_defaults(run=gate_attack)
     storm = sub.add_parser("recovery-storm", help="storm clean + exact BENCH_recovery.json")

@@ -1,9 +1,8 @@
 // steins_attack: adversarial scenario campaigns + endurance projection.
 //
-//   steins_attack --trials 1000 --seed 42 --jobs 8
+//   steins_attack --trials 1050 --seed 42 --jobs 4 --json BENCH_attack.json
 //   steins_attack --scenarios subtree-rollback,torn-record --schemes steins
 //   steins_attack --trials 1000 --trial 137 --verbose
-//   steins_attack --endurance --schemes steins --json endurance.json
 //
 // Runs N seeded trials per (scheme, scenario): a workload phase, a
 // checkpoint flush at which the adversary snapshots every persisted line,
@@ -16,9 +15,11 @@
 // (--seed, trial index): bit-identical for any --jobs, and --trial K
 // reruns exactly one trial.
 //
-// --endurance instead runs the accelerated wear campaign per scheme and
-// projects wear-leveling / wear-out / spare-pool-exhaustion milestones to
-// real device endurance and traffic.
+// The accelerated wear campaign then runs once per selected scheme that
+// can recover (all but WB), with the campaign seed, and projects
+// wear-leveling / wear-out / spare-pool-exhaustion milestones to real
+// device endurance and traffic. --json writes both as BENCH_attack.json's
+// layout: {"attack": <verdict matrix>, "endurance": [<one report per scheme>]}.
 //
 // Exit status: 1 if any silent corruption (or endurance audit mismatch)
 // was observed, 2 for usage errors.
@@ -39,8 +40,6 @@ struct Options {
   std::string schemes;    // csv; empty = attack_schemes()
   std::string scenarios;  // csv; empty = all
   std::string json_path;
-  bool endurance = false;
-  EnduranceOptions wear;
   bool verbose = false;
   bool help = false;
 };
@@ -67,18 +66,10 @@ void usage() {
       "                      boundary b (1-based); ',rearm' re-arms every retry\n"
       "  --max-recovery-attempts <n>  retry budget for crashed recoveries\n"
       "                      (default 8)\n"
-      "  --json <file>       write the verdict matrix (or endurance report)\n"
+      "  --json <file>       write the verdict matrix + endurance reports\n"
       "  --crypto-backend <ref|ttable|hw|auto>  crypto backend (bit-identical;\n"
       "                      host wall-clock only; or STEINS_CRYPTO_BACKEND)\n"
-      "  --verbose           per-trial verdicts + adversary event logs\n"
-      "\nendurance mode:\n"
-      "  --endurance         run the accelerated wear campaign instead\n"
-      "  --endurance-mean <n>   per-line accelerated limit (default 96)\n"
-      "  --endurance-sigma <n>  limit spread (default 12)\n"
-      "  --pool <n>             remap spare-pool lines (default 16)\n"
-      "  --max-writes <n>       write-stream cap (default 200000)\n"
-      "  --real-endurance <x>   real cell endurance (default 1e8)\n"
-      "  --writes-per-sec <x>   projected service rate (default 1e6)\n");
+      "  --verbose           per-trial verdicts + adversary event logs\n");
 }
 
 bool parse(int argc, char** argv, Options* opt) {
@@ -88,7 +79,6 @@ bool parse(int argc, char** argv, Options* opt) {
       opt->campaign.trials = p.u64();
     } else if (p.is("--seed")) {
       opt->campaign.seed = p.u64();
-      opt->wear.seed = opt->campaign.seed;
     } else if (p.is("--jobs")) {
       opt->campaign.jobs = p.jobs();
     } else if (p.is("--schemes", "--scheme")) {
@@ -123,20 +113,6 @@ bool parse(int argc, char** argv, Options* opt) {
     } else if (p.is("--crypto-backend")) {
       const std::string name = p.str();
       if (!p.failed() && !cli::apply_crypto_backend(name)) return false;
-    } else if (p.is("--endurance")) {
-      opt->endurance = true;
-    } else if (p.is("--endurance-mean")) {
-      opt->wear.accel_endurance_mean = p.u64();
-    } else if (p.is("--endurance-sigma")) {
-      opt->wear.accel_endurance_sigma = p.u64();
-    } else if (p.is("--pool")) {
-      opt->wear.remap_pool_lines = static_cast<std::size_t>(p.u64());
-    } else if (p.is("--max-writes")) {
-      opt->wear.max_writes = p.u64();
-    } else if (p.is("--real-endurance")) {
-      opt->wear.real_endurance_writes = p.f64();
-    } else if (p.is("--writes-per-sec")) {
-      opt->wear.writes_per_second = p.f64();
     } else if (p.is("--verbose")) {
       opt->verbose = true;
     } else if (p.is("--help", "-h")) {
@@ -146,33 +122,6 @@ bool parse(int argc, char** argv, Options* opt) {
     }
   }
   return !p.failed();
-}
-
-int run_endurance(const Options& opt, const std::vector<SchemeSpec>& schemes) {
-  std::string json = "[\n";
-  std::uint64_t mismatches = 0;
-  bool first = true;
-  for (const SchemeSpec& spec : schemes) {
-    EnduranceOptions eo = opt.wear;
-    eo.scheme = spec.scheme;
-    const EnduranceReport rep = run_endurance_campaign(eo);
-    std::printf("%s %s\n\n", spec.label.c_str(), rep.to_string().c_str());
-    mismatches += rep.audit_mismatches + (rep.recovery_clean ? 0 : 1);
-    if (!first) json += ",\n";
-    first = false;
-    json += rep.to_json();
-  }
-  json += "]\n";
-  if (!opt.json_path.empty()) {
-    if (!cli::write_json_file(opt.json_path, json)) return 1;
-    std::printf("wrote JSON results to %s\n", opt.json_path.c_str());
-  }
-  if (mismatches > 0) {
-    std::fprintf(stderr, "\nFAIL: %llu endurance audit failure(s)\n",
-                 static_cast<unsigned long long>(mismatches));
-    return 1;
-  }
-  return 0;
 }
 
 }  // namespace
@@ -212,12 +161,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (opt.endurance) {
-      const std::vector<SchemeSpec> schemes =
-          opt.campaign.schemes.empty() ? attack_schemes() : opt.campaign.schemes;
-      return run_endurance(opt, schemes);
-    }
-
     std::printf("attack campaign: %llu trials, seed %llu, %u job%s\n\n",
                 static_cast<unsigned long long>(
                     opt.campaign.only_trial.has_value() ? 1 : opt.campaign.trials),
@@ -226,14 +169,36 @@ int main(int argc, char** argv) {
     const AttackCampaignResult result = run_attack_campaign(opt.campaign);
     result.print(opt.verbose);
 
+    // Endurance projection for every selected scheme that can recover (WB
+    // has no recovery pass to keep honest; the matrix covers its wear).
+    bool endurance_failed = false;
+    std::string endurance_json = "[";
+    for (const SchemeSpec& spec : result.options.schemes) {
+      if (spec.scheme == Scheme::kWriteBack) continue;
+      EnduranceOptions eopts;
+      eopts.scheme = spec.scheme;
+      eopts.seed = opt.campaign.seed;
+      const EnduranceReport rep = run_endurance_campaign(eopts);
+      std::printf("\n%s %s\n", spec.label.c_str(), rep.to_string().c_str());
+      endurance_json += (endurance_json.size() == 1 ? "\n " : ",\n ") + rep.to_json();
+      if (rep.audit_mismatches > 0 || !rep.recovery_clean) endurance_failed = true;
+    }
+    endurance_json += "]";
+
     if (!opt.json_path.empty()) {
-      if (!cli::write_json_file(opt.json_path, result.to_json())) return 1;
-      std::printf("wrote JSON results to %s\n", opt.json_path.c_str());
+      const std::string json =
+          "{\"attack\": " + result.to_json() + ",\n\"endurance\": " + endurance_json + "}\n";
+      if (!cli::write_json_file(opt.json_path, json)) return 1;
+      std::printf("\nwrote JSON results to %s\n", opt.json_path.c_str());
     }
 
     if (result.silent_total() > 0) {
       std::fprintf(stderr, "\nFAIL: %llu silent-corruption verdict(s)\n",
                    static_cast<unsigned long long>(result.silent_total()));
+      return 1;
+    }
+    if (endurance_failed) {
+      std::fprintf(stderr, "\nFAIL: endurance campaign audit mismatch or dirty recovery\n");
       return 1;
     }
   } catch (const std::exception& e) {
