@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the primitive operations the
-// simulator models: crypto, counter generation, node codecs, cache access.
+// simulator models: crypto, counter generation, node codecs, cache access,
+// NVM line-store sweeps and probes.
 //
 // The AES benchmarks run once per *available* backend (ref / ttable / hw),
 // pinned per-instance so one process measures every pair. Two modes:
@@ -22,14 +23,17 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "common/rng.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/backend.hpp"
 #include "crypto/mac.hpp"
 #include "crypto/otp.hpp"
 #include "crypto/siphash.hpp"
+#include "nvm/nvm_device.hpp"
 #include "sit/counter_block.hpp"
 #include "sit/node.hpp"
 
@@ -138,6 +142,40 @@ void BM_MetadataCacheLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MetadataCacheLookup);
+
+// NVM line store: an address-ordered sweep (crash resync, recovery scans)
+// against random probes over the same ~32k resident lines (about 2.8 MB of
+// line records, past most host L2s). Both read through peek_block, which
+// charges no simulated traffic.
+constexpr std::size_t kNvmBenchLines = 32 * 1024;
+
+std::vector<Addr> nvm_bench_lines() {
+  std::vector<Addr> addrs;
+  addrs.reserve(kNvmBenchLines);
+  for (std::size_t i = 0; i < kNvmBenchLines; ++i) addrs.push_back((Addr{1} << 24) + i * kBlockSize);
+  return addrs;
+}
+
+/// Store every bench line in address order, then time reads in `order`.
+void nvm_bench_sweep(benchmark::State& state, const std::vector<Addr>& order) {
+  NvmDevice dev{NvmConfig{}};
+  for (const Addr a : nvm_bench_lines()) dev.write_block(a, Block{});
+  for (auto _ : state) {
+    for (const Addr a : order) benchmark::DoNotOptimize(dev.peek_block(a));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * order.size()));
+}
+
+void BM_NvmDeviceOrderedScan(benchmark::State& state) { nvm_bench_sweep(state, nvm_bench_lines()); }
+BENCHMARK(BM_NvmDeviceOrderedScan);
+
+void BM_NvmDeviceRandomProbe(benchmark::State& state) {
+  std::vector<Addr> order = nvm_bench_lines();
+  Xoshiro256 rng(1);
+  for (std::size_t i = order.size() - 1; i > 0; --i) std::swap(order[i], order[rng.below(i + 1)]);
+  nvm_bench_sweep(state, order);
+}
+BENCHMARK(BM_NvmDeviceRandomProbe);
 
 // ---------------------------------------------------------------------------
 // --json mode: self-timed per-backend throughput, recorded as a trajectory

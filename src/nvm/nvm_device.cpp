@@ -243,7 +243,7 @@ bool NvmDevice::remap_line(Addr addr) {
   ecc_faults_.erase(line);
   if (Line* ln = store_.find(line)) {
     // The spare line starts blank: drop the images and presence flags. The
-    // key slot stays occupied (tombstone-free table; remaps are rare).
+    // record itself stays stored (the store never deletes; remaps are rare).
     *ln = Line{};
   }
   ++stats_.lines_remapped;

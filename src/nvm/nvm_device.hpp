@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <new>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -151,7 +152,7 @@ class NvmDevice {
 
   /// Addresses (sorted, block-aligned) of resident blocks / tags in
   /// [lo, hi). Fault injection and audits target regions through these;
-  /// sorting makes the selection independent of hash-map iteration order.
+  /// sorting makes the selection independent of the store's page order.
   std::vector<Addr> resident_blocks(Addr lo, Addr hi) const;
   std::vector<Addr> resident_tags(Addr lo, Addr hi) const;
 
@@ -168,6 +169,218 @@ class NvmDevice {
 
   const NvmConfig& config() const { return cfg_; }
 
+  // --- Line store ---------------------------------------------------------
+  //
+  // One record per 64 B line holds the block image plus both ECC-colocated
+  // tag sidecars inline, so one lookup serves the whole memory transaction
+  // (they travel together on the wire, and here in the same host cache
+  // lines). Presence flags keep the sparse semantics: untouched blocks read
+  // as zero and stay invisible to resident_blocks()/contains(); a
+  // "remapped" line clears its flags but stays stored. Public so the
+  // differential tests can drive the store directly.
+
+  struct Line {
+    static constexpr std::uint8_t kBlock = 1;
+    static constexpr std::uint8_t kTag = 2;
+    static constexpr std::uint8_t kTag2 = 4;
+    static constexpr std::uint8_t kWorn = 8;  // crossed its endurance limit
+
+    Block block{};
+    std::uint64_t tag = 0;
+    std::uint64_t tag2 = 0;
+    std::uint32_t wear = 0;  // demand writes since birth / last migration
+    std::uint8_t flags = 0;
+  };
+
+  /// Paged line store. Lines live in address-ordered pages of kPageLines
+  /// (one GC counter leaf's coverage), each with a presence mask; a page is
+  /// created whole on its first line and never moves or dies, so a Line*
+  /// stays valid for the table's lifetime. Pages come from fixed-size
+  /// chunks in creation order. A linear-probing directory (power-of-two
+  /// capacity, at most half full) maps page number + 1 (0 = empty) to the
+  /// page pointer held inline in the slot, so a random probe costs one
+  /// directory line and then the page. Growing the directory rehashes
+  /// 16-byte slots only; no line is copied.
+  ///
+  /// A one-entry last-page cache serves consecutive lines of one page
+  /// without touching the directory: leaf rebuilds, crash resync, ASIT
+  /// shadow passes and KV read-back all walk neighbouring blocks. find()
+  /// updates it, so the table, including its const reads, belongs to one
+  /// thread at a time, like the rest of a System.
+  ///
+  /// The page size is fixed. A sparse random footprint pays for mostly
+  /// empty pages: with 64-line pages (perfbench, 4-vCPU host) spec-read's
+  /// peak RSS rose from 24.8 to 58 MB and its ops/s fell by a third, while
+  /// persist-crash gained nothing.
+  class LineTable {
+   public:
+    static constexpr std::size_t kPageLines = 8;
+
+    LineTable() : dir_(kInitialDirSlots), dir_mask_(kInitialDirSlots - 1) {}
+    LineTable(const LineTable& o)
+        : dir_(o.dir_mask_ + 1), dir_mask_(o.dir_mask_), size_(o.size_) {
+      chunks_.reserve(o.chunks_.size());
+      for (std::size_t c = 0; c < o.chunks_.size(); ++c) chunks_.push_back(alloc_chunk());
+      pages_ = o.pages_;
+      for (std::size_t p = 0; p < pages_; ++p) insert(new (&page_at(p)) Page(o.page_at(p)));
+    }
+    LineTable& operator=(const LineTable& o) {
+      if (this != &o) {
+        LineTable copy(o);
+        chunks_.swap(copy.chunks_);
+        dir_.swap(copy.dir_);
+        std::swap(dir_mask_, copy.dir_mask_);
+        std::swap(pages_, copy.pages_);
+        std::swap(size_, copy.size_);
+        std::swap(last_key_, copy.last_key_);
+        std::swap(last_page_, copy.last_page_);
+      }
+      return *this;
+    }
+    ~LineTable() {
+      for (Page* chunk : chunks_) std::free(chunk);
+    }
+
+    /// Lines ever created (remapped lines included).
+    std::size_t size() const { return size_; }
+
+    /// Pull the line toward the host cache ahead of a lookup: the line
+    /// itself when its page is the cached one, its directory slot else.
+    void prefetch(Addr line) const {
+      const std::uint64_t key = page_key(line);
+      if (key == last_key_) {
+        __builtin_prefetch(&last_page_->lines[line_in_page(line)]);
+      } else {
+        __builtin_prefetch(&dir_[hash(key) & dir_mask_]);
+      }
+    }
+
+    Line* find(Addr line) const {
+      Page* page = find_page(page_key(line));
+      if (page == nullptr) return nullptr;
+      const std::size_t i = line_in_page(line);
+      return (page->present >> i & 1u) != 0 ? &page->lines[i] : nullptr;
+    }
+
+    Line& get_or_create(Addr line) {
+      const std::uint64_t key = page_key(line);
+      Page* page = find_page(key);
+      if (page == nullptr) page = add_page(key);
+      const std::size_t i = line_in_page(line);
+      const auto bit = static_cast<std::uint8_t>(1u << i);
+      if ((page->present & bit) == 0) {
+        page->present |= bit;  // lines of a fresh page are already Line{}
+        ++size_;
+      }
+      return page->lines[i];
+    }
+
+    /// Visit every stored line as (line_addr, entry): pages in creation
+    /// order, lines ascending within a page. Callers needing an address
+    /// order sort what they collect.
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+      for (std::size_t p = 0; p < pages_; ++p) {
+        const Page& page = page_at(p);
+        const Addr base = (page.key - 1) * kPageBytes;
+        for (std::size_t i = 0; i < kPageLines; ++i) {
+          if ((page.present >> i & 1u) != 0) fn(base + i * kBlockSize, page.lines[i]);
+        }
+      }
+    }
+
+   private:
+    static constexpr std::size_t kPageBytes = kPageLines * kBlockSize;
+    static constexpr std::size_t kChunkPages = 64;
+    static constexpr std::size_t kInitialDirSlots = 256;
+    static_assert(kPageLines <= 8, "the presence mask is one byte");
+
+    struct Page {
+      std::uint64_t key = 0;     // page number + 1
+      std::uint8_t present = 0;  // bit i: lines[i] was created
+      Line lines[kPageLines]{};
+    };
+    static_assert(std::is_trivially_copyable_v<Page> &&
+                      std::is_trivially_destructible_v<Page>,
+                  "raw chunk storage relies on memcpy-able pages");
+
+    struct Slot {
+      std::uint64_t key = 0;  // page number + 1, 0 = empty
+      Page* page = nullptr;
+    };
+
+    static std::uint64_t page_key(Addr line) { return line / kPageBytes + 1; }
+    static std::size_t line_in_page(Addr line) {
+      return static_cast<std::size_t>(line / kBlockSize) % kPageLines;
+    }
+
+    static std::size_t hash(std::uint64_t k) {
+      k ^= k >> 33;
+      k *= 0xff51afd7ed558ccdULL;
+      k ^= k >> 33;
+      return static_cast<std::size_t>(k);
+    }
+
+    /// Raw chunk storage: a page is value-initialized when it is handed out,
+    /// so the untouched tail of a chunk never costs resident memory.
+    static Page* alloc_chunk() {
+      Page* p = static_cast<Page*>(std::malloc(kChunkPages * sizeof(Page)));
+      STEINS_CHECK(p != nullptr, "NVM line store allocation failed");
+      return p;
+    }
+
+    Page& page_at(std::size_t p) const { return chunks_[p / kChunkPages][p % kChunkPages]; }
+
+    Page* find_page(std::uint64_t key) const {
+      if (key == last_key_) return last_page_;
+      for (std::size_t i = hash(key) & dir_mask_;; i = (i + 1) & dir_mask_) {
+        const Slot& s = dir_[i];
+        if (s.key == key) {
+          last_key_ = key;
+          last_page_ = s.page;
+          return s.page;
+        }
+        if (s.key == 0) return nullptr;
+      }
+    }
+
+    Page* add_page(std::uint64_t key) {
+      if ((pages_ + 1) * 2 > dir_mask_ + 1) grow_dir();
+      if (pages_ == chunks_.size() * kChunkPages) chunks_.push_back(alloc_chunk());
+      Page* page = new (&page_at(pages_)) Page{};
+      page->key = key;
+      ++pages_;
+      insert(page);
+      last_key_ = key;
+      last_page_ = page;
+      return page;
+    }
+
+    /// Directory insert of a page known to be absent.
+    void insert(Page* page) {
+      std::size_t i = hash(page->key) & dir_mask_;
+      while (dir_[i].key != 0) i = (i + 1) & dir_mask_;
+      dir_[i] = Slot{page->key, page};
+    }
+
+    void grow_dir() {
+      std::vector<Slot> old(2 * (dir_mask_ + 1));
+      dir_.swap(old);
+      dir_mask_ = dir_.size() - 1;
+      for (const Slot& s : old) {
+        if (s.key != 0) insert(s.page);
+      }
+    }
+
+    std::vector<Page*> chunks_;
+    std::vector<Slot> dir_;
+    std::size_t dir_mask_;
+    std::size_t pages_ = 0;
+    std::size_t size_ = 0;
+    mutable std::uint64_t last_key_ = 0;  // 0: no page cached
+    mutable Page* last_page_ = nullptr;
+  };
+
  private:
   static Addr align(Addr a) { return a & ~static_cast<Addr>(kBlockSize - 1); }
 
@@ -183,29 +396,6 @@ class NvmDevice {
   /// line is faulted (the common case for every scan).
   const EccLineState* ecc_fault(Addr line) const;
 
-  // --- Line arena ---------------------------------------------------------
-  //
-  // One open-addressed table keyed by block-aligned address holds the block
-  // image plus both ECC-colocated tag sidecars inline, so one probe serves
-  // the whole memory transaction (they travel together on the wire, and now
-  // in the same simulator cache lines). Presence flags preserve the sparse
-  // semantics: untouched blocks read as zero and stay invisible to
-  // resident_blocks()/contains(); a "remapped" line clears its flags but
-  // keeps its key slot (deletions are rare, tombstone-free).
-
-  struct Line {
-    static constexpr std::uint8_t kBlock = 1;
-    static constexpr std::uint8_t kTag = 2;
-    static constexpr std::uint8_t kTag2 = 4;
-    static constexpr std::uint8_t kWorn = 8;  // crossed its endurance limit
-
-    Block block{};
-    std::uint64_t tag = 0;
-    std::uint64_t tag2 = 0;
-    std::uint32_t wear = 0;  // demand writes since birth / last migration
-    std::uint8_t flags = 0;
-  };
-
   /// Age `ln` by one demand write: wear-level toward a spare near the
   /// limit, re-fault the line as uncorrectable past it.
   void apply_wear(Addr line, Line& ln);
@@ -213,124 +403,6 @@ class NvmDevice {
   /// Re-inject the stuck-cell fault of a worn-out line after a write laid
   /// a "fresh" codeword over it (worn cells do not heal).
   void refault_worn(Addr line, Line& ln);
-
-  /// Linear-probing hash table, power-of-two capacity, keys are line+1
-  /// (0 = empty). Entries live inline in a parallel array, so a key hit is
-  /// one extra indexed load, not a pointer chase. Entry storage is raw
-  /// (malloc, no value-init): a table that grows to millions of 88-byte
-  /// lines would otherwise spend its time memset-ing slots the key array
-  /// already marks empty. Only claimed slots are ever constructed or read.
-  class LineTable {
-   public:
-    static_assert(std::is_trivially_copyable_v<Line> &&
-                      std::is_trivially_destructible_v<Line>,
-                  "raw entry storage relies on memcpy-able lines");
-
-    LineTable() : keys_(kInitialCap, 0), entries_(alloc(kInitialCap)), mask_(kInitialCap - 1) {}
-    LineTable(const LineTable& o)
-        : keys_(o.keys_), entries_(alloc(o.mask_ + 1)), mask_(o.mask_), size_(o.size_) {
-      for (std::size_t i = 0; i <= mask_; ++i) {
-        if (keys_[i] != 0) entries_[i] = o.entries_[i];
-      }
-    }
-    LineTable& operator=(const LineTable& o) {
-      if (this != &o) {
-        LineTable copy(o);
-        keys_.swap(copy.keys_);
-        std::swap(entries_, copy.entries_);
-        std::swap(mask_, copy.mask_);
-        std::swap(size_, copy.size_);
-      }
-      return *this;
-    }
-    ~LineTable() { std::free(entries_); }
-
-    /// Pull the line's home slot toward the host cache ahead of a lookup.
-    void prefetch(Addr line) const {
-      const std::size_t i = hash(line + 1) & mask_;
-      __builtin_prefetch(&keys_[i]);
-      __builtin_prefetch(&entries_[i]);
-    }
-
-    Line* find(Addr line) const {
-      const std::uint64_t key = line + 1;
-      std::size_t i = hash(key) & mask_;
-      while (true) {
-        const std::uint64_t k = keys_[i];
-        if (k == key) return &entries_[i];
-        if (k == 0) return nullptr;
-        i = (i + 1) & mask_;
-      }
-    }
-
-    Line& get_or_create(Addr line) {
-      const std::uint64_t key = line + 1;
-      std::size_t i = hash(key) & mask_;
-      while (true) {
-        const std::uint64_t k = keys_[i];
-        if (k == key) return entries_[i];
-        if (k == 0) break;
-        i = (i + 1) & mask_;
-      }
-      if ((size_ + 1) * 2 > mask_ + 1) {
-        grow();
-        i = hash(key) & mask_;
-        while (keys_[i] != 0) i = (i + 1) & mask_;
-      }
-      keys_[i] = key;
-      ++size_;
-      entries_[i] = Line{};
-      return entries_[i];
-    }
-
-    /// Visit every occupied slot as (line_addr, entry). Table order; callers
-    /// needing a deterministic order sort the addresses they collect.
-    template <typename Fn>
-    void for_each(Fn&& fn) const {
-      for (std::size_t i = 0; i <= mask_; ++i) {
-        if (keys_[i] != 0) fn(static_cast<Addr>(keys_[i] - 1), entries_[i]);
-      }
-    }
-
-   private:
-    static constexpr std::size_t kInitialCap = 4096;
-
-    static std::size_t hash(std::uint64_t k) {
-      k ^= k >> 33;
-      k *= 0xff51afd7ed558ccdULL;
-      k ^= k >> 33;
-      return static_cast<std::size_t>(k);
-    }
-
-    static Line* alloc(std::size_t cap) {
-      Line* p = static_cast<Line*>(std::malloc(cap * sizeof(Line)));
-      STEINS_CHECK(p != nullptr, "NVM line table allocation failed");
-      return p;
-    }
-
-    void grow() {
-      const std::size_t cap = (mask_ + 1) * 2;
-      std::vector<std::uint64_t> keys(cap, 0);
-      Line* entries = alloc(cap);
-      const std::size_t mask = cap - 1;
-      for (std::size_t i = 0; i <= mask_; ++i) {
-        if (keys_[i] == 0) continue;
-        std::size_t j = hash(keys_[i]) & mask;
-        while (keys[j] != 0) j = (j + 1) & mask;
-        keys[j] = keys_[i];
-        entries[j] = entries_[i];
-      }
-      keys_.swap(keys);
-      std::free(entries_);
-      entries_ = entries;
-      mask_ = mask;
-    }
-
-    std::vector<std::uint64_t> keys_;
-    Line* entries_;
-    std::size_t mask_;
-    std::size_t size_ = 0;
-  };
 
   NvmConfig cfg_;
   Addr limit_;

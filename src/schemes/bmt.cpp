@@ -1,8 +1,8 @@
 #include "schemes/bmt.hpp"
 
-#include <cassert>
 #include <cstring>
 
+#include "common/status.hpp"
 #include "fault/fault.hpp"
 #include "sit/counter_block.hpp"
 #include "sit/node.hpp"
@@ -90,7 +90,7 @@ void BmtMemory::update_branch(NodeId id, const Block& leaf_image, Cycle& now) {
     Block pimg = fetch_meta(parent, now);
     std::memcpy(pimg.data() + geo_.slot_in_parent(cur) * 8, &h, 8);
     auto* pline = mcache_.lookup(geo_.node_addr(parent), true);
-    assert(pline != nullptr);
+    STEINS_CHECK(pline != nullptr, "BMT parent node missing from the metadata cache");
     pline->payload.data = pimg;
     child_image = pimg;
     cur = parent;
@@ -113,7 +113,7 @@ Cycle BmtMemory::write_block(Addr addr, const Block& data, Cycle now) {
   std::memcpy(img.data(), payload.data(), payload.size());
 
   auto* line = mcache_.lookup(geo_.node_addr(leaf), true);
-  assert(line != nullptr);
+  STEINS_CHECK(line != nullptr, "BMT counter leaf missing from the metadata cache");
   line->payload.data = img;
 
   // Stop-loss: persist the counter block periodically to bound recovery.

@@ -1,8 +1,8 @@
 #include "sim/multi_controller.hpp"
 
 #include <algorithm>
-#include <cassert>
 
+#include "common/status.hpp"
 #include "common/thread_pool.hpp"
 #include "fault/fault.hpp"
 
@@ -12,7 +12,7 @@ MultiControllerMemory::MultiControllerMemory(const SystemConfig& cfg, Scheme sch
                                              unsigned controllers,
                                              std::size_t interleave_bytes)
     : interleave_(interleave_bytes) {
-  assert(controllers >= 1);
+  STEINS_CHECK(controllers >= 1, "MultiControllerMemory needs at least one controller");
   SystemConfig per_mc = cfg;
   per_mc.nvm.capacity_bytes = cfg.nvm.capacity_bytes / controllers;
   for (unsigned i = 0; i < controllers; ++i) {
@@ -25,7 +25,7 @@ MultiControllerMemory::MultiControllerMemory(const SystemConfig& cfg, Scheme sch
 }
 
 void MultiControllerMemory::set_fault_injector(unsigned controller, FaultInjector* injector) {
-  assert(controller < mcs_.size());
+  STEINS_CHECK(controller < mcs_.size(), "fault injector controller index out of range");
   injectors_[controller] = injector;
   mcs_[controller]->set_fault_injector(injector);
 }

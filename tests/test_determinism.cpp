@@ -1,12 +1,13 @@
 // Determinism differentials (ctest label: fast; also the TSan CI lane):
 // every host-parallel execution path must produce bit-identical results to
-// its sequential counterpart, and the arena-backed NVM line table must
-// behave exactly like the reference map it replaced. These tests are the
+// its sequential counterpart, and the paged NVM line store must behave
+// exactly like the reference map it replaced. These tests are the
 // contract behind `--jobs N`: parallelism is a wall-clock optimization,
 // never an observable one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_map>
 #include <vector>
 
@@ -149,59 +150,221 @@ TEST(Determinism, ParallelRecoveryIsBitIdentical) {
   }
 }
 
-// Arena differential: the open-addressed line table (raw-storage arena,
-// inline tag sidecars) must be observationally identical to the plain map
-// the seed used — across growth, overwrites, and sparse reads.
+// Line-store differential: the paged line table (address-ordered pages with
+// presence masks, a hashed page directory, a last-page cache, inline tag
+// sidecars) must be observationally identical to the plain map the seed
+// used — across directory growth, page boundaries, the ends of the address
+// space, overwrites, remaps, sparse reads, and copies of the device.
+namespace linestore {
+
+struct Ref {
+  Block block{};
+  bool has_block = false;
+  std::uint64_t tag = 0;
+  bool has_tag = false;
+  std::uint64_t tag2 = 0;
+};
+using RefMap = std::unordered_map<Addr, Ref>;
+
+void expect_matches(const NvmDevice& dev, const RefMap& ref) {
+  std::vector<Addr> blocks;
+  std::vector<Addr> tags;
+  for (const auto& [addr, r] : ref) {
+    ASSERT_EQ(dev.contains(addr), r.has_block) << addr;
+    ASSERT_EQ(dev.peek_block(addr), r.has_block ? r.block : Block{}) << addr;
+    ASSERT_EQ(dev.read_tag(addr), r.tag) << addr;
+    ASSERT_EQ(dev.read_tag2(addr), r.tag2) << addr;
+    if (r.has_block) blocks.push_back(addr);
+    if (r.has_tag) tags.push_back(addr);
+  }
+  std::sort(blocks.begin(), blocks.end());
+  std::sort(tags.begin(), tags.end());
+  EXPECT_EQ(dev.resident_blocks(0, dev.address_limit()), blocks);
+  EXPECT_EQ(dev.resident_tags(0, dev.address_limit()), tags);
+}
+
+void write_block(NvmDevice& dev, RefMap& ref, Addr addr, std::uint64_t v) {
+  const Block b = pattern_block(addr, v);
+  dev.write_block(addr, b);
+  Ref& r = ref[addr];
+  r.block = b;
+  r.has_block = true;
+}
+
+}  // namespace linestore
+
 TEST(Determinism, LineTableMatchesReferenceMap) {
+  using linestore::Ref;
+  using linestore::RefMap;
+  constexpr Addr kPage = NvmDevice::LineTable::kPageLines * kBlockSize;
   NvmConfig ncfg;
   ncfg.capacity_bytes = 1ULL << 30;
   NvmDevice dev(ncfg);
-  struct Ref {
-    Block block{};
-    bool has_block = false;
-    std::uint64_t tag = 0;
-    std::uint64_t tag2 = 0;
-  };
-  std::unordered_map<Addr, Ref> ref;
+  const Addr limit = dev.address_limit();
+  ASSERT_EQ(limit % kPage, 0u);
+  // Both ends of the address space and the lines either side of two page
+  // boundaries, mixed into the random stream below.
+  const Addr edges[] = {0, kPage - kBlockSize, kPage, 5 * kPage - kBlockSize, 5 * kPage,
+                        limit - kPage, limit - kBlockSize};
+  RefMap ref;
   Xoshiro256 rng(42);
-  // Enough distinct lines to force several table growths past the 4096-slot
-  // initial arena, with a skewed mix of writes, tag updates, and reads.
+  // Dense lines (32k lines over 4k pages) plus sparse ones over the whole
+  // address space, so the page directory grows several times past its
+  // 256-slot start, with a skewed mix of writes, tag updates, and reads.
   for (int i = 0; i < 60000; ++i) {
-    const Addr addr = rng.below(1 << 15) * kBlockSize + (Addr{1} << 22);
+    const std::uint64_t where = rng.next() % 100;
+    Addr addr;
+    if (where < 3) {
+      addr = edges[rng.below(std::size(edges))];
+    } else if (where < 13) {
+      addr = rng.below(limit / kBlockSize) * kBlockSize;
+    } else {
+      addr = rng.below(1 << 15) * kBlockSize + (Addr{1} << 22);
+    }
     const std::uint64_t pick = rng.next() % 100;
     if (pick < 50) {
-      const Block b = pattern_block(addr, rng.next());
-      dev.write_block(addr, b);
-      Ref& r = ref[addr];
-      r.block = b;
-      r.has_block = true;
+      linestore::write_block(dev, ref, addr, rng.next());
     } else if (pick < 65) {
       const std::uint64_t t = rng.next();
       dev.write_tag(addr, t);
       ref[addr].tag = t;
+      ref[addr].has_tag = true;
     } else if (pick < 75) {
       const std::uint64_t t = rng.next();
       dev.write_tag2(addr, t);
       ref[addr].tag2 = t;
     } else {
       const auto it = ref.find(addr);
-      ASSERT_EQ(dev.contains(addr), it != ref.end() && it->second.has_block);
-      const Block expect = it != ref.end() && it->second.has_block ? it->second.block : Block{};
-      ASSERT_EQ(dev.peek_block(addr), expect);
-      ASSERT_EQ(dev.read_tag(addr), it != ref.end() ? it->second.tag : 0u);
-      ASSERT_EQ(dev.read_tag2(addr), it != ref.end() ? it->second.tag2 : 0u);
+      const bool has = it != ref.end();
+      ASSERT_EQ(dev.contains(addr), has && it->second.has_block);
+      ASSERT_EQ(dev.peek_block(addr), has && it->second.has_block ? it->second.block : Block{});
+      ASSERT_EQ(dev.read_tag(addr), has ? it->second.tag : 0u);
+      ASSERT_EQ(dev.read_tag2(addr), has ? it->second.tag2 : 0u);
     }
   }
+  for (const Addr e : edges) linestore::write_block(dev, ref, e, 7);
   // Full sweep: every reference line reads back, and residency reports the
-  // exact sorted block set (order independent of hash layout).
-  std::vector<Addr> expect_resident;
+  // exact sorted block and tag sets (independent of page creation order).
+  linestore::expect_matches(dev, ref);
+
+  // A range that cuts pages on both sides reports exactly its own lines.
+  const Addr lo = (Addr{1} << 22) + 3 * kBlockSize;
+  const Addr hi = (Addr{1} << 22) + 40 * kPage + 5 * kBlockSize;
+  std::vector<Addr> expect_cut;
   for (const auto& [addr, r] : ref) {
-    ASSERT_EQ(dev.peek_block(addr), r.has_block ? r.block : Block{});
-    ASSERT_EQ(dev.read_tag(addr), r.tag);
-    if (r.has_block) expect_resident.push_back(addr);
+    if (r.has_block && addr >= lo && addr < hi) expect_cut.push_back(addr);
   }
-  std::sort(expect_resident.begin(), expect_resident.end());
-  EXPECT_EQ(dev.resident_blocks(0, dev.address_limit()), expect_resident);
+  std::sort(expect_cut.begin(), expect_cut.end());
+  ASSERT_FALSE(expect_cut.empty());
+  EXPECT_EQ(dev.resident_blocks(lo, hi), expect_cut);
+
+  // A remapped line stays stored but drops out of residency: it reads as
+  // zero with no tags, and its page neighbours are untouched.
+  const Addr remapped = kPage;
+  ASSERT_TRUE(dev.remap_line(remapped));
+  ref[remapped] = Ref{};
+  linestore::expect_matches(dev, ref);
+
+  // Copies are deep and each side's last-page cache stays its own: warm
+  // `dev`'s cache on an edge page, copy, then mutate that page on each side.
+  const Addr a = limit - kBlockSize;
+  const Addr b = limit - kPage;
+  ASSERT_TRUE(dev.contains(a));
+  NvmDevice copied(dev);
+  RefMap copied_ref = ref;
+  linestore::write_block(copied, copied_ref, a, 1001);
+  linestore::write_block(dev, ref, b, 1002);
+  linestore::write_block(dev, ref, a, 1003);
+  linestore::write_block(copied, copied_ref, b, 1004);
+
+  // Copy-assign over a device whose cache points at the very page about to
+  // be replaced: reads afterwards must see the source's lines, not its own.
+  NvmDevice assigned(ncfg);
+  assigned.write_block(a, pattern_block(a, 2001));
+  assigned = dev;
+  ASSERT_EQ(assigned.peek_block(a), dev.peek_block(a));  // first lookup: the cached page
+  RefMap assigned_ref = ref;
+  linestore::expect_matches(assigned, assigned_ref);
+  linestore::write_block(assigned, assigned_ref, b, 2003);
+  linestore::write_block(dev, ref, a, 2004);
+
+  linestore::expect_matches(dev, ref);
+  linestore::expect_matches(copied, copied_ref);
+  linestore::expect_matches(assigned, assigned_ref);
+}
+
+// The store's own contract, below the device: for_each visits exactly
+// size() lines, each once; a remapped line (`*ln = Line{}`) is still found
+// while the device reports it absent; copies never share pages.
+TEST(Determinism, LineTablePagesAndCopies) {
+  using Line = NvmDevice::Line;
+  using LineTable = NvmDevice::LineTable;
+  constexpr Addr kPage = LineTable::kPageLines * kBlockSize;
+  LineTable table;
+  std::unordered_map<Addr, std::uint64_t> ref;
+  Xoshiro256 rng(7);
+  // 6000 pages with the last line of each page and the first of the next:
+  // the directory doubles from 256 to 16k slots under the cached page.
+  for (Addr p = 0; p < 6000; ++p) {
+    for (const Addr line : {p * 3 * kPage + kPage - kBlockSize, p * 3 * kPage + kPage}) {
+      const std::uint64_t v = rng.next();
+      table.get_or_create(line).tag = v;
+      ref[line] = v;
+    }
+    ASSERT_EQ(table.size(), ref.size());
+  }
+  ASSERT_EQ(table.find(kPage - 2 * kBlockSize), nullptr);  // same page, never created
+  ASSERT_EQ(table.find(2 * kPage), nullptr);               // page never created
+
+  const auto expect_visits = [](const LineTable& t, const std::unordered_map<Addr, std::uint64_t>& want) {
+    std::unordered_map<Addr, std::uint64_t> seen;
+    std::size_t visits = 0;
+    t.for_each([&](Addr line, const Line& ln) {
+      ++visits;
+      seen[line] = ln.tag;
+    });
+    EXPECT_EQ(visits, t.size());
+    EXPECT_EQ(seen, want);
+  };
+  expect_visits(table, ref);
+
+  const Addr remapped = kPage;
+  Line* ln = table.find(remapped);
+  ASSERT_NE(ln, nullptr);
+  *ln = Line{};
+  ref[remapped] = 0;
+  EXPECT_EQ(table.find(remapped), ln);
+  EXPECT_EQ(table.size(), ref.size());
+  expect_visits(table, ref);
+
+  NvmConfig ncfg;
+  NvmDevice dev(ncfg);
+  dev.write_block(remapped, pattern_block(remapped, 1));
+  ASSERT_TRUE(dev.remap_line(remapped));
+  EXPECT_FALSE(dev.contains(remapped));
+  EXPECT_EQ(dev.peek_block(remapped), Block{});
+
+  // Copy-construct and copy-assign, then mutate each side on the page the
+  // source last touched.
+  const Addr hot = 5999 * 3 * kPage + kPage;
+  ASSERT_NE(table.find(hot), nullptr);  // caches hot's page in `table`
+  LineTable copy(table);
+  LineTable assigned;
+  assigned.get_or_create(hot).tag = 99;  // caches a page `assigned` drops
+  assigned = table;
+  auto copy_ref = ref;
+  auto assigned_ref = ref;
+  copy.get_or_create(hot).tag = 1;
+  copy_ref[hot] = 1;
+  assigned.get_or_create(hot + kBlockSize).tag = 2;
+  assigned_ref[hot + kBlockSize] = 2;
+  table.get_or_create(hot).tag = 3;
+  ref[hot] = 3;
+  EXPECT_NE(copy.find(hot), table.find(hot));
+  EXPECT_NE(assigned.find(hot), table.find(hot));
+  expect_visits(table, ref);
+  expect_visits(copy, copy_ref);
+  expect_visits(assigned, assigned_ref);
 }
 
 }  // namespace

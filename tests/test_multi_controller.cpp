@@ -90,5 +90,28 @@ TEST(MultiController, DataSurvivesCrashOnEveryController) {
   }
 }
 
+// Both guards stay armed in Release: zero controllers would leave
+// max_frontier() dereferencing end(), and an out-of-range injector index
+// would write past the per-controller arrays.
+TEST(MultiController, RejectsZeroControllers) {
+  try {
+    MultiControllerMemory mem(mc_config(), Scheme::kSteins, 0);
+    FAIL() << "a controller-less memory was constructed";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvariant);
+  }
+}
+
+TEST(MultiController, RejectsOutOfRangeFaultInjector) {
+  MultiControllerMemory mem(mc_config(), Scheme::kSteins, 2);
+  try {
+    mem.set_fault_injector(2, nullptr);
+    FAIL() << "injector index 2 accepted on a 2-controller memory";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvariant);
+  }
+  mem.set_fault_injector(1, nullptr);  // in range: accepted
+}
+
 }  // namespace
 }  // namespace steins
