@@ -12,8 +12,8 @@
 // Osiris-style from the data HMACs), summing the leaf counters and
 // comparing against Recovery_root. That full-memory scan is why the paper
 // excludes SCUE from its comparison: "the recovery time is hour-scale for
-// TB memory, which is unacceptable" — the abl_recovery_scaling bench
-// reproduces that argument quantitatively.
+// TB memory, which is unacceptable" — the recovery_scaling study of
+// bench/paper_studies reproduces that argument quantitatively.
 #pragma once
 
 #include "secure/secure_memory.hpp"

@@ -4,7 +4,10 @@
   crypto-backends  paper_figures under a forced backend == the hw one's
   paper            paper_figures 200000 20000 == BENCH_paper.json, and the
                    gmean rows keep the paper's orderings and bands
-  e2e              e2e_throughput ops/s within 25% of BENCH_e2e.json
+  studies          paper_studies 200000 20000 == BENCH_studies.json, and the
+                   studies keep the paper's claims as bands
+  perfbench        perfbench/run.py runs are correct, fail no op, and every
+                   sim_* metric == BENCH_perfbench.json
   degraded         a media-loss steins_fault campaign salvages, never silent
   attack           steins_attack --trials 1050 --seed 42 --json: never silent,
                    every cell injected, clean endurance audits, matrix and
@@ -36,6 +39,8 @@ MIN_SPEEDUP_4 = 1.5
 # Ops/sec is a rate, so a small CI sizing compares against the committed
 # full-sizing point directly; runner jitter stays clear of a 25% drop.
 RATE_FLOOR = 0.75
+# Members holding one section per figure or study.
+NESTED_SECTIONS = ("figures", "studies")
 
 
 def load(path):
@@ -52,10 +57,12 @@ def exact(failures, got, want, key, got_path, want_path):
 
 
 def simulated_sections(path):
-    """Bench JSON as {figure or top-level member: value}, host fields dropped."""
+    """Bench JSON as {figure, study or top-level member: value}, host fields
+    dropped."""
     doc = load(path)
-    sections = {k: v for k, v in doc.items() if k not in HOST_FIELDS + ("figures",)}
-    sections.update(doc.get("figures", {}))
+    sections = {k: v for k, v in doc.items() if k not in HOST_FIELDS + NESTED_SECTIONS}
+    for nested in NESTED_SECTIONS:
+        sections.update(doc.get(nested, {}))
     return sections
 
 
@@ -149,14 +156,108 @@ def gate_paper(args):
     return failures
 
 
-def gate_e2e(args):
-    ci, committed = load(args.ci), load(args.committed)
-    got, want = ci["total_ops_per_sec"], committed["total_ops_per_sec"]
-    floor = RATE_FLOOR * want
-    print(f"ci={got:.0f} ops/s committed={want:.0f} ops/s floor={floor:.0f}")
-    if got < floor:
-        return [f"e2e throughput regressed >25%: {got:.0f} < {floor:.0f}"]
-    return []
+# Paper-claim bands on BENCH_studies.json (bench/paper_studies.cpp). The
+# storage, SIT/BMT and cache-size claims are exact relations; each constant
+# below names the claim it holds.
+# §I/§II-D: Steins recovery is cache-bounded, flat across 16 -> 256 MB
+# (0.0038-0.0040 s).
+RECOVERY_STEINS_FLAT = 1.1
+# §I/§II-D: SCUE and BMT rebuild the whole tree, so recovery grows with
+# capacity: at least this share of linear (16.0x and 14.4x for 16x).
+RECOVERY_LINEAR_MIN = 0.75
+# §IV-F: at equal total metadata cache, disjoint streams speed up at least
+# this share of the controller count (2.00x / 2.82x / 5.68x at 2 / 3 / 6).
+ISO_SPEEDUP_MIN = 0.9
+# §IV-F: one hot DIMM is served by one controller: makespan stays flat.
+SHARED_HOT_FLAT = 1.01
+# §III-C/§III-E: the record-line and NV-buffer knobs are cheap by
+# construction: every setting within 1% of 16 lines / 128 B on exec cycles.
+KNOB_TOL = 0.01
+
+
+def table_rows(table):
+    """[(label, {column: value})] in row order."""
+    return [(r["label"], dict(zip(table["columns"], r["values"]))) for r in table["rows"]]
+
+
+def descending(values):
+    return all(a > b for a, b in zip(values, values[1:]))
+
+
+def study_bands(doc):
+    """(description, holds) for every paper-claim check on `doc`."""
+    studies = doc["studies"]
+    storage = dict(table_rows(doc["table"]))
+    gc, sc = storage["Steins-GC"], storage["Steins-SC"]
+    checks = [
+        ("storage SC leaves = GC leaves / 8", sc["leaves MB"] * 8 == gc["leaves MB"]),
+        ("storage SC has one fewer level", sc["levels"] == gc["levels"] - 1),
+    ]
+    sit = dict(table_rows(studies["sit_vs_bmt"]["table"]))
+    checks += [(f"sit_vs_bmt BMT {col} > WB-SIT", sit["BMT"][col] > sit["WB-SIT"][col])
+               for col in ("write lat (cy)", "hashes/write")]
+
+    recovery = table_rows(studies["recovery_scaling"]["table"])
+    (small_label, small), (large_label, large) = recovery[0], recovery[-1]
+    growth = int(large_label.removesuffix("MB")) / int(small_label.removesuffix("MB"))
+    steins = [row["Steins-GC (s)"] for _, row in recovery]
+    checks.append((f"recovery_scaling Steins-GC max/min <= {RECOVERY_STEINS_FLAT}",
+                   max(steins) <= RECOVERY_STEINS_FLAT * min(steins)))
+    checks += [(f"recovery_scaling {col} grows >= {RECOVERY_LINEAR_MIN} x {growth:.0f}x capacity",
+                large[col] >= RECOVERY_LINEAR_MIN * growth * small[col])
+               for col in ("SCUE (s)", "BMT (s)")]
+
+    scaling = table_rows(studies["scalability"]["table"])
+    checks += [(f"scalability {label} iso speedup >= {ISO_SPEEDUP_MIN} x controllers",
+                row["iso speedup"] >= ISO_SPEEDUP_MIN * int(label.split()[0]))
+               for label, row in scaling]
+    hot = [row["shared-hot cy"] for _, row in scaling]
+    checks.append((f"scalability shared-hot max/min <= {SHARED_HOT_FLAT}",
+                   max(hot) <= SHARED_HOT_FLAT * min(hot)))
+
+    cache = [row for _, row in table_rows(studies["cache_size"]["table"])]
+    checks += [(f"cache_size {col} exec falls with cache size", descending([r[col] for r in cache]))
+               for col in ("WB-GC", "Steins-GC")]
+    checks.append(("cache_size Steins hit rate rises with cache size",
+                   descending([r["Steins hit%"] for r in reversed(cache)])))
+
+    knobs = table_rows(studies["steins_knobs"]["table"])
+    ref = dict(knobs)["16 record lines"]["exec cycles"]
+    checks += [(f"steins_knobs {label} exec within {KNOB_TOL:.0%} of 16 lines / 128 B",
+                abs(row["exec cycles"] / ref - 1) <= KNOB_TOL) for label, row in knobs]
+    return checks
+
+
+def gate_studies(args):
+    failures = exact_sections(args.ci, args.committed)
+    bands = study_bands(load(args.ci))
+    failures += [f"paper claim: {what}" for what, holds in bands if not holds]
+    print(f"{sum(holds for _, holds in bands)} of {len(bands)} paper-claim checks hold")
+    return failures
+
+
+def gate_perfbench(args):
+    """Each run is one `perfbench/run.py --trace 0` result line."""
+    failures = []
+    want = load(args.committed)["workloads"]
+    runs = dict(run.split("=", 1) for run in args.runs)
+    if runs.keys() != want.keys():
+        failures.append(f"runs {sorted(runs)} != committed workloads {sorted(want)}")
+    for name in sorted(runs.keys() & want.keys()):
+        got = load(runs[name])
+        if not got["correct"]:
+            failures.append(f"{name}: correct is false")
+        if got["failed"] > 0:
+            failures.append(f"{name}: {got['failed']} of {got['attempted']} ops failed")
+        sim = {k: m["value"] for k, m in got["metrics"].items() if k.startswith("sim_")}
+        moved = sorted(k for k in sim.keys() | want[name].keys()
+                       if sim.get(k) != want[name].get(k))
+        # A metric at 0 reads the same on working and broken code.
+        zero = sorted(k for k, v in want[name].items() if v == 0)
+        print(f"{name}: {len(sim)} sim_* metrics, {len(moved)} moved")
+        failures += [f"{name}: {k} = {sim.get(k)} != committed {want[name].get(k)}" for k in moved]
+        failures += [f"{name}: committed {k} is 0 and gates nothing" for k in zero]
+    return failures
 
 
 def gate_degraded(args):
@@ -245,10 +346,16 @@ def main():
     paper.add_argument("--ci", required=True, help="paper_figures JSON at 200000 20000")
     paper.add_argument("--committed", default="BENCH_paper.json")
     paper.set_defaults(run=gate_paper)
-    e2e = sub.add_parser("e2e", help="e2e throughput within 25%% of BENCH_e2e.json")
-    e2e.add_argument("--ci", required=True, help="e2e_throughput JSON at CI sizing")
-    e2e.add_argument("--committed", default="BENCH_e2e.json")
-    e2e.set_defaults(run=gate_e2e)
+    studies = sub.add_parser("studies", help="exact BENCH_studies.json + paper-claim bands")
+    studies.add_argument("--ci", required=True, help="paper_studies JSON at 200000 20000")
+    studies.add_argument("--committed", default="BENCH_studies.json")
+    studies.set_defaults(run=gate_studies)
+    pb = sub.add_parser("perfbench", help="perfbench runs correct + sim_* == BENCH_perfbench.json")
+    pb.add_argument("--run", dest="runs", action="append", required=True,
+                    metavar="WORKLOAD=FILE",
+                    help="one perfbench/run.py result per workload, at the committed seed/scale")
+    pb.add_argument("--committed", default="BENCH_perfbench.json")
+    pb.set_defaults(run=gate_perfbench)
     deg = sub.add_parser("degraded", help="media-loss campaign salvages, never silent")
     deg.add_argument("--json", required=True, help="steins_fault --json output")
     deg.set_defaults(run=gate_degraded)
