@@ -39,25 +39,8 @@ using namespace steins;
 
 namespace {
 
-// One independent simulation; it returns its metrics.
-using Cell = std::function<std::vector<double>()>;
-
-class Cells {
- public:
-  std::size_t add(Cell cell) {
-    cells_.push_back(std::move(cell));
-    return cells_.size() - 1;
-  }
-  void run(unsigned jobs) {
-    results_.resize(cells_.size());
-    ThreadPool::run_indexed(jobs, cells_.size(), [&](std::size_t i) { results_[i] = cells_[i](); });
-  }
-  const std::vector<double>& operator[](std::size_t i) const { return results_[i]; }
-
- private:
-  std::vector<Cell> cells_;
-  std::vector<std::vector<double>> results_;
-};
+// Every cell returns its metrics.
+using Cells = bench::Cells<>;
 
 // A study queues its cells, then (after Cells::run) prints its tables and
 // returns its JSON section.
@@ -376,7 +359,8 @@ int main(int argc, char** argv) try {
   std::string json = ",\n \"studies\": {";
   const char* separator = "";
   for (const auto& [id, report] : studies) {
-    json += separator + std::string("\n  \"") + id + "\": " + report(cells);
+    json += separator;
+    json += std::string("\n  \"") + id + "\": " + report(cells);
     separator = ",";
   }
   json += "}";

@@ -9,9 +9,9 @@
 // retry loop. The artifact records the attempts-to-converge distribution
 // and the modeled recovery-time p50/p99 per cell.
 //
-// Positional argv[1] (or STEINS_ACCESSES) sets the trials per cell
-// (default 8), STEINS_SEED overrides the campaign seed, and
-// --jobs/--json/--verbose follow the other benches. Exit status is nonzero
+// Positional argv[1] sets the trials per cell (default 8), the campaign
+// seed is fixed at 42, and --jobs/--json/--verbose follow the other
+// benches. Exit status is nonzero
 // on any silent-corruption or recovery-crash-unrecoverable verdict so CI
 // can gate on the artifact it uploads.
 #include <algorithm>
@@ -80,10 +80,7 @@ int main(int argc, char** argv) {
   // trial per (scheme, cycle-count) cell.
   const bench::BenchOptions opt = bench::parse_options(argc, argv, /*default_accesses=*/8);
   const std::uint64_t trials = opt.accesses;
-  std::uint64_t seed = 42;
-  if (const char* env = std::getenv("STEINS_SEED")) {
-    seed = std::strtoull(env, nullptr, 10);
-  }
+  constexpr std::uint64_t seed = 42;
   if (trials == 0) {
     std::fprintf(stderr, "error: a 0-trial storm would report vacuous success\n");
     return 2;
@@ -167,7 +164,8 @@ int main(int argc, char** argv) {
     std::string hist_json = "[";
     for (const auto& [a, n] : hist) {
       if (hist_json.size() > 1) hist_json += ", ";
-      hist_json += "[" + std::to_string(a) + ", " + std::to_string(n) + "]";
+      hist_json += '[';
+      hist_json += std::to_string(a) + ", " + std::to_string(n) + "]";
     }
     hist_json += "]";
 

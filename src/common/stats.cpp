@@ -143,8 +143,9 @@ std::string ResultTable::to_json() const {
     const auto& [name, vals] = rows_[r];
     os << (r ? ", " : "") << "{\"label\": \"" << json_escape(name) << "\", \"values\": [";
     for (std::size_t c = 0; c < vals.size(); ++c) {
+      // JSON has no NaN or infinity; a non-finite cell reads as null.
       std::snprintf(buf, sizeof(buf), "%.17g", vals[c]);
-      os << (c ? ", " : "") << buf;
+      os << (c ? ", " : "") << (std::isfinite(vals[c]) ? buf : "null");
     }
     os << "]}";
   }

@@ -1,8 +1,8 @@
 // Pinned outputs of the multi-client YCSB preset (one table interleaved
 // over 2 controllers, no group commit). The values were recorded from the
 // standalone interleaved YCSB driver this preset replaced; the serving
-// engine must reproduce every one, at every worker count, so BENCH_kv.json's
-// scheme x mix table regenerates bit-identically.
+// engine must reproduce every one, at every worker count, so the scheme x
+// mix table of BENCH_store.json regenerates bit-identically.
 #include <gtest/gtest.h>
 
 #include <ostream>

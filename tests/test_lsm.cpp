@@ -274,7 +274,8 @@ TEST(LsmStore, PutGetEraseThroughFlushesAndCompactions) {
     const std::uint64_t key = rng.below(40);
     const std::uint64_t roll = rng.below(10);
     if (roll < 7) {
-      std::string v = "v" + std::to_string(i) + "-" + std::to_string(key);
+      std::string v = "v";
+      v += std::to_string(i) + "-" + std::to_string(key);
       store.put(key, v);
       model[key] = std::move(v);
     } else if (roll < 9) {
@@ -357,7 +358,8 @@ TEST(LsmStore, WorksUnderEveryScheme) {
     ASSERT_TRUE(store.open().ok());
     std::map<std::uint64_t, std::string> model;
     for (std::uint64_t i = 0; i < 150; ++i) {
-      std::string v = "s" + std::to_string(i);
+      std::string v = "s";
+      v += std::to_string(i);
       store.put(i % 20, v);
       model[i % 20] = std::move(v);
     }
@@ -379,7 +381,9 @@ TEST(LsmStore, CompactionIsDeterministicAcrossMergeJobs) {
       if (op % 9 == 8) {
         store.erase(key);
       } else {
-        store.put(key, "d" + std::to_string(op));
+        std::string v = "d";
+        v += std::to_string(op);
+        store.put(key, v);
       }
     }
     store.flush();

@@ -1,6 +1,9 @@
 // Statistics plumbing: accumulators and result tables.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/stats.hpp"
 
 namespace steins {
@@ -33,11 +36,13 @@ TEST(ResultTable, ToJsonRoundTripsStructure) {
   ResultTable t("fig \"x\"", {"a", "b"});
   t.add_row("w1", {1.0, 1.5});
   t.add_row("w2", {0.25, 4.0});
+  t.add_row("w3", {std::nan(""), -std::numeric_limits<double>::infinity()});
   const std::string json = t.to_json();
   EXPECT_NE(json.find("\"title\": \"fig \\\"x\\\"\""), std::string::npos);
   EXPECT_NE(json.find("\"columns\": [\"a\", \"b\"]"), std::string::npos);
   EXPECT_NE(json.find("{\"label\": \"w1\", \"values\": [1, 1.5]}"), std::string::npos);
   EXPECT_NE(json.find("{\"label\": \"w2\", \"values\": [0.25, 4]}"), std::string::npos);
+  EXPECT_NE(json.find("{\"label\": \"w3\", \"values\": [null, null]}"), std::string::npos);
 }
 
 TEST(ResultTable, GeomeanRow) {

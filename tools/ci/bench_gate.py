@@ -14,9 +14,9 @@
                    endurance == BENCH_attack.json
   recovery-storm   recovery_storm 8: no silent or non-convergent recovery,
                    nested crashes fired, cells == BENCH_recovery.json
-  kv-serving       kv_throughput 200000 20000 rows == BENCH_kv.json; the
-                   small CI sweep keeps the 4-shard speedup and throughput
-  lsm              lsm_throughput 200000 20000 == BENCH_lsm.json
+  store            store_matrix 200000 20000 == BENCH_store.json; the small
+                   CI sweep keeps the 4-shard speedup and throughput; the
+                   iso-resource sweep and the degraded curve keep their bands
   fault            steins_fault --trials 200 --seed 42 == BENCH_fault.json
                    (any --jobs: only the jobs field may differ)
 
@@ -31,14 +31,8 @@ import argparse
 import json
 import sys
 
-# Sections of BENCH_kv.json that a paper-scale run reproduces bit-exactly
-# (the wrapper's jobs/crypto_backend fields describe the host run).
-KV_EXACT_SECTIONS = ("table", "serving", "serving_table")
+# The wrapper's jobs/crypto_backend fields describe the host run.
 HOST_FIELDS = ("jobs", "crypto_backend")
-MIN_SPEEDUP_4 = 1.5
-# Ops/sec is a rate, so a small CI sizing compares against the committed
-# full-sizing point directly; runner jitter stays clear of a 25% drop.
-RATE_FLOOR = 0.75
 # Members holding one section per figure or study.
 NESTED_SECTIONS = ("figures", "studies")
 
@@ -76,10 +70,6 @@ def exact_sections(got_path, want_path):
 
 def gate_crypto_backends(args):
     return exact_sections(args.forced, args.hw)
-
-
-def gate_lsm(args):
-    return exact_sections(args.ci, args.committed)
 
 
 def gate_fault(args):
@@ -312,23 +302,56 @@ def gate_recovery_storm(args):
     return failures
 
 
-def gate_kv_serving(args):
-    failures = []
-    committed = load(args.committed)
-    full = load(args.full)
-    for key in KV_EXACT_SECTIONS:
-        exact(failures, full, committed, key, args.full, args.committed)
+# Bands on BENCH_store.json (bench/store_matrix.cpp).
+# §IV-F: load-aware serving with group commit scales with shards.
+MIN_SPEEDUP_4 = 1.5
+# Ops/sec is a rate, so a small CI sizing compares against the committed
+# full-sizing point directly; runner jitter stays clear of a 25% drop.
+RATE_FLOOR = 0.75
 
-    ci = load(args.ci)["serving"]
-    want = committed["serving"]
-    got_speedup, want_speedup = ci["speedup_4"], want["speedup_4"]
+
+def store_bands(doc):
+    """(description, holds) for every serving_iso and degraded check on `doc`."""
+    full = [row for _, row in table_rows(doc["serving_table"])]
+    iso = table_rows(doc["serving_iso"])
+    checks = [("serving_iso speedup rises with shards",
+               descending([row["speedup"] for _, row in reversed(iso)]))]
+    checks += [(f"serving_iso {label} speedup <= full-cache {f['speedup']:.2f}",
+                row["speedup"] <= f["speedup"]) for (label, row), f in zip(iso, full)]
+
+    cells = doc["degraded"]["cells"]
+    keys = doc["degraded"]["keys"]
+    checks += [(f"degraded {c['scheme']}/{c['dead_lines']} not {c['verdict']}",
+                c["verdict"] not in ("silent-corruption", "recovery-crash-unrecoverable"))
+               for c in cells]
+    checks += [(f"degraded {c['scheme']}/{c['dead_lines']} keys_wrong == 0", c["keys_wrong"] == 0)
+               for c in cells]
+    checks += [(f"degraded {c['scheme']}/0 serves all {keys} keys", c["keys_ok"] == keys)
+               for c in cells if c["dead_lines"] == 0]
+    for scheme in dict.fromkeys(c["scheme"] for c in cells):
+        curve = sorted((c["dead_lines"], c["keys_unavailable"]) for c in cells
+                       if c["scheme"] == scheme)
+        checks.append((f"degraded {scheme} keys_unavailable never falls as dead lines rise",
+                       all(a[1] <= b[1] for a, b in zip(curve, curve[1:]))))
+    return checks
+
+
+def gate_store(args):
+    failures = exact_sections(args.full, args.committed)
+    committed, ci = load(args.committed), load(args.ci)
+    for path, doc in ((args.ci, ci), (args.full, load(args.full))):
+        bands = store_bands(doc)
+        failures += [f"{path}: {what}" for what, holds in bands if not holds]
+        print(f"{path}: {sum(holds for _, holds in bands)} of {len(bands)} store checks hold")
+
+    got_speedup, want_speedup = ci["serving"]["speedup_4"], committed["serving"]["speedup_4"]
     print(f"ci speedup_4={got_speedup:.2f} committed={want_speedup:.2f}")
     if got_speedup < MIN_SPEEDUP_4:
         failures.append(f"4-shard serving speedup regressed: {got_speedup:.2f} < {MIN_SPEEDUP_4}")
     if want_speedup < MIN_SPEEDUP_4:
         failures.append(f"committed speedup_4 below the bar: {want_speedup:.2f} < {MIN_SPEEDUP_4}")
-    rate_ci = ci["rows"][-1]["kops_per_sec"]
-    floor = RATE_FLOOR * want["rows"][-1]["kops_per_sec"]
+    rate_ci = ci["serving"]["rows"][-1]["kops_per_sec"]
+    floor = RATE_FLOOR * committed["serving"]["rows"][-1]["kops_per_sec"]
     print(f"ci 4-shard={rate_ci:.0f} kops/s floor={floor:.0f}")
     if rate_ci < floor:
         failures.append(f"serving throughput regressed >25%: {rate_ci:.0f} < {floor:.0f}")
@@ -367,15 +390,11 @@ def main():
     storm.add_argument("--ci", required=True, help="recovery_storm JSON")
     storm.add_argument("--committed", default="BENCH_recovery.json")
     storm.set_defaults(run=gate_recovery_storm)
-    kv = sub.add_parser("kv-serving", help="BENCH_kv.json exact rows + serving scaling")
-    kv.add_argument("--ci", required=True, help="kv_throughput JSON at CI sizing")
-    kv.add_argument("--full", required=True, help="kv_throughput JSON at 200000 20000")
-    kv.add_argument("--committed", default="BENCH_kv.json")
-    kv.set_defaults(run=gate_kv_serving)
-    lsm = sub.add_parser("lsm", help="exact BENCH_lsm.json")
-    lsm.add_argument("--ci", required=True, help="lsm_throughput JSON at 200000 20000")
-    lsm.add_argument("--committed", default="BENCH_lsm.json")
-    lsm.set_defaults(run=gate_lsm)
+    store = sub.add_parser("store", help="exact BENCH_store.json + serving and degraded bands")
+    store.add_argument("--ci", required=True, help="store_matrix JSON at CI sizing (8000 0)")
+    store.add_argument("--full", required=True, help="store_matrix JSON at 200000 20000")
+    store.add_argument("--committed", default="BENCH_store.json")
+    store.set_defaults(run=gate_store)
     fault = sub.add_parser("fault", help="exact BENCH_fault.json")
     fault.add_argument("--ci", required=True, help="steins_fault --trials 200 --seed 42 JSON")
     fault.add_argument("--committed", default="BENCH_fault.json")

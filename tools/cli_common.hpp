@@ -62,16 +62,12 @@ class ArgParser {
     const std::string flag = argv_[i_];
     const std::string v = str();
     if (failed_) return 0;
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long out = std::strtoull(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
-      std::fprintf(stderr, "invalid number for %s: '%s'\n", flag.c_str(), v.c_str());
-      failed_ = true;
-      return 0;
-    }
-    return out;
+    return to_u64(flag, v);
   }
+
+  /// The current argument itself as a number: a positional operand named
+  /// `what` in the error message.
+  std::uint64_t operand_u64(const std::string& what) { return to_u64(what, argv_[i_]); }
 
   double f64() {
     const std::string flag = argv_[i_];
@@ -116,6 +112,18 @@ class ArgParser {
   bool failed() const { return failed_; }
 
  private:
+  std::uint64_t to_u64(const std::string& what, const std::string& v) {
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long out = std::strtoull(v.c_str(), &end, 10);
+    if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
+      std::fprintf(stderr, "invalid number for %s: '%s'\n", what.c_str(), v.c_str());
+      failed_ = true;
+      return 0;
+    }
+    return out;
+  }
+
   int argc_;
   char** argv_;
   int i_ = 0;
