@@ -36,19 +36,29 @@ struct BenchOptions {
 /// every hardware thread (any value gives the same output, 1 runs
 /// sequentially). The crypto backend also reads STEINS_CRYPTO_BACKEND, and
 /// the flag wins; backends are bit-identical, so it only moves host
-/// wall-clock and is recorded in the JSON provenance. An unknown flag, a
-/// flag missing its value, a malformed number, `--jobs 0` or an extra
-/// positional exits 2.
+/// wall-clock and is recorded in the JSON provenance. `--help`/`-h` prints
+/// the usage line to stdout and exits 0. An unknown flag, a flag missing
+/// its value, a malformed number, `--jobs 0` or an extra positional prints
+/// it to stderr and exits 2.
 inline BenchOptions parse_options(int argc, char** argv,
                                   std::uint64_t default_accesses = 200'000) {
   BenchOptions opt;
   opt.accesses = default_accesses;
   opt.jobs = ThreadPool::default_jobs();  // reads STEINS_JOBS
+  const auto usage = [&](std::FILE* out) {
+    std::fprintf(out,
+                 "usage: %s [accesses [warmup]] [--jobs N] [--json FILE] "
+                 "[--crypto-backend ref|ttable|hw|auto] [--verbose]\n",
+                 argv[0]);
+  };
   cli::ArgParser p(argc, argv);
   int positional = 0;
   bool backend_ok = true;
   while (backend_ok && p.next()) {
-    if (p.is("--jobs")) {
+    if (p.is("--help", "-h")) {
+      usage(stdout);
+      std::exit(0);
+    } else if (p.is("--jobs")) {
       opt.jobs = p.jobs();
     } else if (p.is("--json")) {
       opt.json_path = p.str();
@@ -70,10 +80,7 @@ inline BenchOptions parse_options(int argc, char** argv,
     }
   }
   if (p.failed() || !backend_ok) {
-    std::fprintf(stderr,
-                 "usage: %s [accesses [warmup]] [--jobs N] [--json FILE] "
-                 "[--crypto-backend ref|ttable|hw|auto] [--verbose]\n",
-                 argv[0]);
+    usage(stderr);
     std::exit(2);
   }
   return opt;

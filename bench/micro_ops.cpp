@@ -145,37 +145,53 @@ BENCHMARK(BM_MetadataCacheLookup);
 
 // NVM line store: an address-ordered sweep (crash resync, recovery scans)
 // against random probes over the same ~32k resident lines (about 2.8 MB of
-// line records, past most host L2s). Both read through peek_block, which
-// charges no simulated traffic.
+// line records, past most host L2s), and random probes over 32k lines one
+// per store page (the shape of spec-read's sparse footprint). All read
+// through peek_block, which charges no simulated traffic.
 constexpr std::size_t kNvmBenchLines = 32 * 1024;
 
-std::vector<Addr> nvm_bench_lines() {
+/// kNvmBenchLines lines from 16 MB up, `stride` bytes apart.
+std::vector<Addr> nvm_bench_lines(Addr stride = kBlockSize) {
   std::vector<Addr> addrs;
   addrs.reserve(kNvmBenchLines);
-  for (std::size_t i = 0; i < kNvmBenchLines; ++i) addrs.push_back((Addr{1} << 24) + i * kBlockSize);
+  for (std::size_t i = 0; i < kNvmBenchLines; ++i) addrs.push_back((Addr{1} << 24) + i * stride);
   return addrs;
 }
 
-/// Store every bench line in address order, then time reads in `order`.
-void nvm_bench_sweep(benchmark::State& state, const std::vector<Addr>& order) {
+std::vector<Addr> shuffled(std::vector<Addr> order) {
+  Xoshiro256 rng(1);
+  for (std::size_t i = order.size() - 1; i > 0; --i) std::swap(order[i], order[rng.below(i + 1)]);
+  return order;
+}
+
+/// Store `lines` in address order, then time reads in `order`.
+void nvm_bench_sweep(benchmark::State& state, const std::vector<Addr>& lines,
+                     const std::vector<Addr>& order) {
   NvmDevice dev{NvmConfig{}};
-  for (const Addr a : nvm_bench_lines()) dev.write_block(a, Block{});
+  for (const Addr a : lines) dev.write_block(a, Block{});
   for (auto _ : state) {
     for (const Addr a : order) benchmark::DoNotOptimize(dev.peek_block(a));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * order.size()));
 }
 
-void BM_NvmDeviceOrderedScan(benchmark::State& state) { nvm_bench_sweep(state, nvm_bench_lines()); }
+void BM_NvmDeviceOrderedScan(benchmark::State& state) {
+  const std::vector<Addr> lines = nvm_bench_lines();
+  nvm_bench_sweep(state, lines, lines);
+}
 BENCHMARK(BM_NvmDeviceOrderedScan);
 
 void BM_NvmDeviceRandomProbe(benchmark::State& state) {
-  std::vector<Addr> order = nvm_bench_lines();
-  Xoshiro256 rng(1);
-  for (std::size_t i = order.size() - 1; i > 0; --i) std::swap(order[i], order[rng.below(i + 1)]);
-  nvm_bench_sweep(state, order);
+  const std::vector<Addr> lines = nvm_bench_lines();
+  nvm_bench_sweep(state, lines, shuffled(lines));
 }
 BENCHMARK(BM_NvmDeviceRandomProbe);
+
+void BM_NvmDeviceSparseProbe(benchmark::State& state) {
+  const std::vector<Addr> lines = nvm_bench_lines(NvmDevice::LineTable::kPageLines * kBlockSize);
+  nvm_bench_sweep(state, lines, shuffled(lines));
+}
+BENCHMARK(BM_NvmDeviceSparseProbe);
 
 // ---------------------------------------------------------------------------
 // --json mode: self-timed per-backend throughput, recorded as a trajectory

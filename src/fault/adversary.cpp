@@ -64,7 +64,11 @@ std::string hex_addr(Addr a) {
 
 std::string node_label(const SitGeometry& geo, Addr addr) {
   const NodeId id = geo.node_at(addr);
-  return "L" + std::to_string(id.level) + "#" + std::to_string(id.index);
+  std::string label = "L";
+  label += std::to_string(id.level);
+  label += '#';
+  label += std::to_string(id.index);
+  return label;
 }
 
 void append_event(std::string* events, const std::string& e) {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <unordered_map>
@@ -193,14 +194,31 @@ class NvmDevice {
   };
 
   /// Paged line store. Lines live in address-ordered pages of kPageLines
-  /// (one GC counter leaf's coverage), each with a presence mask; a page is
-  /// created whole on its first line and never moves or dies, so a Line*
-  /// stays valid for the table's lifetime. Pages come from fixed-size
-  /// chunks in creation order. A linear-probing directory (power-of-two
-  /// capacity, at most half full) maps page number + 1 (0 = empty) to the
-  /// page pointer held inline in the slot, so a random probe costs one
-  /// directory line and then the page. Growing the directory rehashes
-  /// 16-byte slots only; no line is copied.
+  /// (one GC counter leaf's coverage), but a page stores only the lines it
+  /// has: it is a size-classed block of 1, 2, 4 or 8 line slots behind a
+  /// 16-byte header (page key, presence mask, a 3-bit slot per line, class,
+  /// creation index). Lines are appended to the block in arrival order,
+  /// except in the full 8-slot class, where line i sits in slot i so a
+  /// random probe need not wait for the header to find the line. A page
+  /// whose block is full is copied once into a block of the next class;
+  /// the old block goes on its class's free list for the next page of that
+  /// class. Blocks come from per-class raw chunks. A new page starts at one
+  /// line unless the page used last is the one just below it and is full:
+  /// an address-ordered fill (LSM extents, sweeps) then gets 8-slot blocks
+  /// at once instead of climbing 1-2-4-8 with three copies. The rule reads
+  /// the last-page cache only; probing the directory for the page below
+  /// cost every sparse page creation a host cache miss.
+  ///
+  /// A Line* or Line& stays valid until the next line is created in the
+  /// same page (that may move the page); NvmDevice holds one only within
+  /// a single call.
+  ///
+  /// A linear-probing directory (power-of-two capacity, at most half full)
+  /// maps page number + 1 (0 = empty) to the block pointer held inline in
+  /// the slot, so a random probe costs one directory line and then the
+  /// block. Growing the directory rehashes 16-byte slots only; no line is
+  /// copied. A growth rewrites the page's directory slot, its entry in the
+  /// creation-order list and the last-page cache.
   ///
   /// A one-entry last-page cache serves consecutive lines of one page
   /// without touching the directory: leaf rebuilds, crash resync, ASIT
@@ -208,37 +226,34 @@ class NvmDevice {
   /// updates it, so the table, including its const reads, belongs to one
   /// thread at a time, like the rest of a System.
   ///
-  /// The page size is fixed. A sparse random footprint pays for mostly
-  /// empty pages: with 64-line pages (perfbench, 4-vCPU host) spec-read's
-  /// peak RSS rose from 24.8 to 58 MB and its ops/s fell by a third, while
-  /// persist-crash gained nothing.
+  /// Why classes: a sparse random footprint leaves most pages holding one
+  /// line. With a whole 8-line page (720 B) per touched page, spec-read's
+  /// peak RSS was 24.7 MB (perfbench, 25 s runs, 4-vCPU host); with
+  /// 104-byte one-line blocks it is 17.8 MB (10 of 10 interleaved pairs).
+  /// The page size stays 8: with 64-line pages it had risen to 58 MB.
   class LineTable {
    public:
     static constexpr std::size_t kPageLines = 8;
 
     LineTable() : dir_(kInitialDirSlots), dir_mask_(kInitialDirSlots - 1) {}
-    LineTable(const LineTable& o)
-        : dir_(o.dir_mask_ + 1), dir_mask_(o.dir_mask_), size_(o.size_) {
-      chunks_.reserve(o.chunks_.size());
-      for (std::size_t c = 0; c < o.chunks_.size(); ++c) chunks_.push_back(alloc_chunk());
-      pages_ = o.pages_;
-      for (std::size_t p = 0; p < pages_; ++p) insert(new (&page_at(p)) Page(o.page_at(p)));
+    LineTable(const LineTable& o) : dir_(o.dir_mask_ + 1), dir_mask_(o.dir_mask_), size_(o.size_) {
+      order_.reserve(o.order_.size());
+      for (const Page* src : o.order_) {
+        Page* page = new (take(src->cls)) Page(*src);
+        copy_lines(page, src);
+        order_.push_back(page);
+        insert(page);
+      }
     }
     LineTable& operator=(const LineTable& o) {
       if (this != &o) {
         LineTable copy(o);
-        chunks_.swap(copy.chunks_);
-        dir_.swap(copy.dir_);
-        std::swap(dir_mask_, copy.dir_mask_);
-        std::swap(pages_, copy.pages_);
-        std::swap(size_, copy.size_);
-        std::swap(last_key_, copy.last_key_);
-        std::swap(last_page_, copy.last_page_);
+        swap(copy);
       }
       return *this;
     }
     ~LineTable() {
-      for (Page* chunk : chunks_) std::free(chunk);
+      for (void* chunk : chunks_) std::free(chunk);
     }
 
     /// Lines ever created (remapped lines included).
@@ -249,7 +264,8 @@ class NvmDevice {
     void prefetch(Addr line) const {
       const std::uint64_t key = page_key(line);
       if (key == last_key_) {
-        __builtin_prefetch(&last_page_->lines[line_in_page(line)]);
+        const std::size_t i = line_in_page(line);
+        __builtin_prefetch(last_page_->has(i) ? last_page_->line(i) : static_cast<void*>(last_page_));
       } else {
         __builtin_prefetch(&dir_[hash(key) & dir_mask_]);
       }
@@ -259,7 +275,7 @@ class NvmDevice {
       Page* page = find_page(page_key(line));
       if (page == nullptr) return nullptr;
       const std::size_t i = line_in_page(line);
-      return (page->present >> i & 1u) != 0 ? &page->lines[i] : nullptr;
+      return page->has(i) ? page->line(i) : nullptr;
     }
 
     Line& get_or_create(Addr line) {
@@ -267,12 +283,13 @@ class NvmDevice {
       Page* page = find_page(key);
       if (page == nullptr) page = add_page(key);
       const std::size_t i = line_in_page(line);
-      const auto bit = static_cast<std::uint8_t>(1u << i);
-      if ((page->present & bit) == 0) {
-        page->present |= bit;  // lines of a fresh page are already Line{}
-        ++size_;
-      }
-      return page->lines[i];
+      if (page->has(i)) return *page->line(i);
+      const std::size_t n = page->count();
+      if (n == page->capacity()) page = grow(page);
+      if (page->cls != kFullClass) page->map |= static_cast<std::uint32_t>(n) << slot_shift(i);
+      page->map |= 1u << i;
+      ++size_;
+      return *new (page->line(i)) Line{};
     }
 
     /// Visit every stored line as (line_addr, entry): pages in creation
@@ -280,29 +297,54 @@ class NvmDevice {
     /// order sort what they collect.
     template <typename Fn>
     void for_each(Fn&& fn) const {
-      for (std::size_t p = 0; p < pages_; ++p) {
-        const Page& page = page_at(p);
-        const Addr base = (page.key - 1) * kPageBytes;
+      for (const Page* page : order_) {
+        const Addr base = (page->key - 1) * kPageBytes;
         for (std::size_t i = 0; i < kPageLines; ++i) {
-          if ((page.present >> i & 1u) != 0) fn(base + i * kBlockSize, page.lines[i]);
+          if (page->has(i)) fn(base + i * kBlockSize, static_cast<const Line&>(*page->line(i)));
         }
       }
     }
 
    private:
     static constexpr std::size_t kPageBytes = kPageLines * kBlockSize;
-    static constexpr std::size_t kChunkPages = 64;
+    static constexpr unsigned kClasses = 4;  // 1, 2, 4 and 8 line slots
+    static constexpr unsigned kFullClass = kClasses - 1;
+    static constexpr std::size_t kChunkBytes = std::size_t{32} << 10;
     static constexpr std::size_t kInitialDirSlots = 256;
-    static_assert(kPageLines <= 8, "the presence mask is one byte");
+    static_assert(kPageLines == std::size_t{1} << (kClasses - 1),
+                  "the largest class holds a whole page");
 
+    /// Block header; the page's lines follow it in slot order.
     struct Page {
-      std::uint64_t key = 0;     // page number + 1
-      std::uint8_t present = 0;  // bit i: lines[i] was created
-      Line lines[kPageLines]{};
+      std::uint64_t key;        // page number + 1
+      std::uint32_t map;        // bit i: line i is present; bits 8+3i..10+3i: its slot
+      std::uint32_t index : 30;  // position in the creation-order list
+      std::uint32_t cls : 2;     // capacity() == 1 << cls
+
+      bool has(std::size_t i) const { return (map >> i & 1u) != 0; }
+      std::size_t count() const { return static_cast<std::size_t>(__builtin_popcount(map & 0xffu)); }
+      std::size_t capacity() const { return std::size_t{1} << cls; }
+      Line* lines() const {
+        return reinterpret_cast<Line*>(const_cast<Page*>(this) + 1);
+      }
+      Line* line(std::size_t i) const {
+        // Branches, not a select: a random probe of a one-line or a full
+        // block then loads the line without waiting for the header.
+        if (cls == 0) return lines();
+        if (cls == kFullClass) return lines() + i;
+        return lines() + (map >> slot_shift(i) & 7u);
+      }
     };
-    static_assert(std::is_trivially_copyable_v<Page> &&
-                      std::is_trivially_destructible_v<Page>,
-                  "raw chunk storage relies on memcpy-able pages");
+    static_assert(sizeof(Page) == 16 && alignof(Line) <= alignof(Page),
+                  "lines follow a 16-byte header");
+    static_assert(std::is_trivially_copyable_v<Page> && std::is_trivially_copyable_v<Line> &&
+                      std::is_trivially_destructible_v<Line>,
+                  "raw chunk storage relies on memcpy-able blocks");
+
+    /// A block on its class's free list.
+    struct FreeBlock {
+      FreeBlock* next;
+    };
 
     struct Slot {
       std::uint64_t key = 0;  // page number + 1, 0 = empty
@@ -313,6 +355,11 @@ class NvmDevice {
     static std::size_t line_in_page(Addr line) {
       return static_cast<std::size_t>(line / kBlockSize) % kPageLines;
     }
+    static constexpr unsigned slot_shift(std::size_t i) { return static_cast<unsigned>(8 + 3 * i); }
+    /// The slot map of a full-class block: line i lives in slot i.
+    static constexpr std::uint32_t kIdentitySlots =
+        1u << 11 | 2u << 14 | 3u << 17 | 4u << 20 | 5u << 23 | 6u << 26 | 7u << 29;
+    static std::size_t block_bytes(unsigned cls) { return sizeof(Page) + (sizeof(Line) << cls); }
 
     static std::size_t hash(std::uint64_t k) {
       k ^= k >> 33;
@@ -321,39 +368,80 @@ class NvmDevice {
       return static_cast<std::size_t>(k);
     }
 
-    /// Raw chunk storage: a page is value-initialized when it is handed out,
-    /// so the untouched tail of a chunk never costs resident memory.
-    static Page* alloc_chunk() {
-      Page* p = static_cast<Page*>(std::malloc(kChunkPages * sizeof(Page)));
-      STEINS_CHECK(p != nullptr, "NVM line store allocation failed");
-      return p;
+    /// Uninitialized storage for one block of class `cls`: a freed block
+    /// of that class, else the next block of the class's current chunk.
+    /// Chunks are raw malloc memory, so an untouched tail costs no
+    /// resident memory.
+    Page* take(unsigned cls) {
+      if (FreeBlock* f = free_[cls]) {
+        free_[cls] = f->next;
+        return reinterpret_cast<Page*>(f);
+      }
+      const std::size_t bytes = block_bytes(cls);
+      if (static_cast<std::size_t>(bump_end_[cls] - bump_[cls]) < bytes) {
+        auto* chunk = static_cast<char*>(std::malloc(kChunkBytes));
+        STEINS_CHECK(chunk != nullptr, "NVM line store allocation failed");
+        chunks_.push_back(chunk);
+        bump_[cls] = chunk;
+        bump_end_[cls] = chunk + kChunkBytes;
+      }
+      char* block = bump_[cls];
+      bump_[cls] += bytes;
+      return reinterpret_cast<Page*>(block);
     }
 
-    Page& page_at(std::size_t p) const { return chunks_[p / kChunkPages][p % kChunkPages]; }
-
-    Page* find_page(std::uint64_t key) const {
-      if (key == last_key_) return last_page_;
+    Slot* probe(std::uint64_t key) const {
       for (std::size_t i = hash(key) & dir_mask_;; i = (i + 1) & dir_mask_) {
         const Slot& s = dir_[i];
-        if (s.key == key) {
-          last_key_ = key;
-          last_page_ = s.page;
-          return s.page;
-        }
+        if (s.key == key) return const_cast<Slot*>(&s);
         if (s.key == 0) return nullptr;
       }
     }
 
+    Page* find_page(std::uint64_t key) const {
+      if (key == last_key_) return last_page_;
+      const Slot* s = probe(key);
+      if (s == nullptr) return nullptr;
+      last_key_ = key;
+      last_page_ = s->page;
+      return s->page;
+    }
+
     Page* add_page(std::uint64_t key) {
-      if ((pages_ + 1) * 2 > dir_mask_ + 1) grow_dir();
-      if (pages_ == chunks_.size() * kChunkPages) chunks_.push_back(alloc_chunk());
-      Page* page = new (&page_at(pages_)) Page{};
-      page->key = key;
-      ++pages_;
+      STEINS_CHECK(order_.size() < (std::size_t{1} << 30), "NVM line store page index overflow");
+      if ((order_.size() + 1) * 2 > dir_mask_ + 1) grow_dir();
+      const bool after_full = last_page_ != nullptr && last_key_ + 1 == key &&
+                              last_page_->count() == kPageLines;
+      const unsigned cls = after_full ? kFullClass : 0;
+      Page* page = new (take(cls)) Page{key, cls == kFullClass ? kIdentitySlots : 0,
+                                        static_cast<std::uint32_t>(order_.size()), cls};
+      order_.push_back(page);
       insert(page);
       last_key_ = key;
       last_page_ = page;
       return page;
+    }
+
+    /// Move a full page into a block of the next class and point the
+    /// directory, the creation-order list and the last-page cache at it.
+    Page* grow(Page* old) {
+      const unsigned cls = old->cls + 1u;
+      const std::uint32_t map = cls == kFullClass ? (old->map & 0xffu) | kIdentitySlots : old->map;
+      Page* page = new (take(cls)) Page{old->key, map, old->index, cls};
+      copy_lines(page, old);
+      probe(page->key)->page = page;
+      order_[page->index] = page;
+      last_key_ = page->key;
+      last_page_ = page;
+      free_[old->cls] = new (old) FreeBlock{free_[old->cls]};
+      return page;
+    }
+
+    /// Copy src's lines into dst, whose header already says where they go.
+    static void copy_lines(Page* dst, const Page* src) {
+      for (std::size_t i = 0; i < kPageLines; ++i) {
+        if (src->has(i)) std::memcpy(dst->line(i), src->line(i), sizeof(Line));
+      }
     }
 
     /// Directory insert of a page known to be absent.
@@ -372,11 +460,27 @@ class NvmDevice {
       }
     }
 
-    std::vector<Page*> chunks_;
+    void swap(LineTable& o) noexcept {
+      chunks_.swap(o.chunks_);
+      dir_.swap(o.dir_);
+      order_.swap(o.order_);
+      std::swap(dir_mask_, o.dir_mask_);
+      std::swap(size_, o.size_);
+      std::swap(free_, o.free_);
+      std::swap(bump_, o.bump_);
+      std::swap(bump_end_, o.bump_end_);
+      std::swap(last_key_, o.last_key_);
+      std::swap(last_page_, o.last_page_);
+    }
+
+    std::vector<void*> chunks_;
     std::vector<Slot> dir_;
     std::size_t dir_mask_;
-    std::size_t pages_ = 0;
+    std::vector<Page*> order_;  // pages in creation order
     std::size_t size_ = 0;
+    FreeBlock* free_[kClasses] = {};
+    char* bump_[kClasses] = {};      // next unused block of each class's chunk
+    char* bump_end_[kClasses] = {};
     mutable std::uint64_t last_key_ = 0;  // 0: no page cached
     mutable Page* last_page_ = nullptr;
   };

@@ -367,5 +367,150 @@ TEST(Determinism, LineTablePagesAndCopies) {
   expect_visits(assigned, assigned_ref);
 }
 
+// Size-classed pages: a page lives in a block of 1, 2, 4 or 8 line slots
+// and moves to the next class when full. Every line must survive each
+// move, lookups right after a move must see the new block, freed blocks
+// must serve other pages without aliasing, and copies of a table whose
+// pages sit in different classes must be deep.
+TEST(Determinism, LineTableSizeClasses) {
+  using Line = NvmDevice::Line;
+  using LineTable = NvmDevice::LineTable;
+  constexpr Addr kPage = LineTable::kPageLines * kBlockSize;
+  LineTable table;
+  std::unordered_map<Addr, std::uint64_t> ref;
+  std::uint64_t next_tag = 1;
+  const auto put = [&](LineTable& t, std::unordered_map<Addr, std::uint64_t>& r, Addr line) {
+    Line& ln = t.get_or_create(line);
+    ln.tag = next_tag;
+    ln.block = pattern_block(line, next_tag);
+    r[line] = next_tag++;
+    return &ln;
+  };
+  const auto expect_lines = [](const LineTable& t, const std::unordered_map<Addr, std::uint64_t>& want) {
+    for (const auto& [line, tag] : want) {
+      const Line* ln = t.find(line);
+      ASSERT_NE(ln, nullptr) << "line " << line;
+      ASSERT_EQ(ln->tag, tag) << "line " << line;
+      ASSERT_EQ(ln->block, pattern_block(line, tag)) << "line " << line;
+    }
+  };
+  // for_each visits size() lines, each once; a page's lines form one run,
+  // ascending.
+  const auto expect_visits = [](const LineTable& t, const std::unordered_map<Addr, std::uint64_t>& want) {
+    std::unordered_map<Addr, std::uint64_t> seen;
+    std::unordered_map<Addr, int> runs;
+    std::size_t visits = 0;
+    Addr prev = ~Addr{0};
+    t.for_each([&](Addr line, const Line& ln) {
+      ++visits;
+      seen[line] = ln.tag;
+      if (prev == ~Addr{0} || prev / kPage != line / kPage) {
+        ++runs[line / kPage];
+      } else {
+        EXPECT_LT(prev, line);
+      }
+      prev = line;
+    });
+    EXPECT_EQ(visits, t.size());
+    EXPECT_EQ(seen, want);
+    for (const auto& [page, n] : runs) EXPECT_EQ(n, 1) << "page " << page;
+  };
+
+  // 200 pages three apart (no page has a resident page below it, so each
+  // starts at one line), filled round-robin in a shuffled line order per
+  // page: every page climbs through all four classes while the others
+  // move too. Every pointer handed out is kept to spot block reuse.
+  constexpr Addr kPages = 200;
+  Xoshiro256 rng(11);
+  std::vector<std::vector<Addr>> fill(kPages);
+  for (Addr p = 0; p < kPages; ++p) {
+    for (Addr i = 0; i < LineTable::kPageLines; ++i) fill[p].push_back(3 * p * kPage + i * kBlockSize);
+    for (std::size_t i = fill[p].size() - 1; i > 0; --i) std::swap(fill[p][i], fill[p][rng.below(i + 1)]);
+  }
+  std::vector<const Line*> handed_out;
+  for (std::size_t step = 0; step < LineTable::kPageLines; ++step) {
+    for (Addr p = 0; p < kPages; ++p) {
+      const Addr line = fill[p][step];
+      const Line* created = put(table, ref, line);
+      handed_out.push_back(created);
+      // Right after a possible move, the cached page is the new block:
+      // the line just made and an older neighbour both resolve there.
+      ASSERT_EQ(table.find(line), created);
+      const Addr older = fill[p][step / 2];
+      Line* ln = table.find(older);
+      ASSERT_NE(ln, nullptr);
+      ASSERT_EQ(ln->tag, ref[older]);
+      ln->tag = next_tag;
+      ln->block = pattern_block(older, next_tag);
+      ref[older] = next_tag++;
+    }
+    ASSERT_EQ(table.size(), ref.size());
+    expect_lines(table, ref);
+  }
+  expect_visits(table, ref);
+
+  // New pages in the gaps (above a non-resident page, so they start at
+  // one line too) take the blocks freed by those moves; blocks must come
+  // back with an empty slot map and hold only their own lines.
+  std::unordered_map<Addr, std::uint64_t> gap_ref;
+  std::size_t reused = 0;
+  for (Addr p = 0; p < kPages; ++p) {
+    const Addr base = (3 * p + 2) * kPage;
+    const std::size_t lines = 1 + p % 5;  // 1..5 lines: classes 0, 1, 2 and 3
+    for (std::size_t i = 0; i < lines; ++i) {
+      const Addr line = base + (LineTable::kPageLines - 1 - 2 * i % 7) * kBlockSize;
+      const Line* created = put(table, gap_ref, line);
+      if (std::find(handed_out.begin(), handed_out.end(), created) != handed_out.end()) ++reused;
+    }
+    for (Addr i = 0; i < LineTable::kPageLines; ++i) {
+      const Addr line = base + i * kBlockSize;
+      if (!gap_ref.contains(line)) {
+        ASSERT_EQ(table.find(line), nullptr) << "line " << line;
+      }
+    }
+  }
+  EXPECT_GT(reused, 0u);
+  for (const auto& [line, tag] : gap_ref) ref[line] = tag;
+  ASSERT_EQ(table.size(), ref.size());
+  expect_lines(table, ref);
+  expect_visits(table, ref);
+
+  // An address-ordered fill: a new page right after its full neighbour
+  // below gets all eight slots at once, so its first line never moves.
+  const Addr seq = Addr{1} << 30;
+  for (Addr i = 0; i < LineTable::kPageLines; ++i) put(table, ref, seq + i * kBlockSize);
+  const Line* first = put(table, ref, seq + kPage);
+  for (Addr i = 1; i < LineTable::kPageLines; ++i) put(table, ref, seq + kPage + i * kBlockSize);
+  EXPECT_EQ(table.find(seq + kPage), first);
+
+  // Copies of the mixed-class table are deep: grow a page on each side
+  // (the one-line gap pages) and rewrite lines the source last touched.
+  LineTable copy(table);
+  LineTable assigned;
+  std::unordered_map<Addr, std::uint64_t> dropped;
+  put(assigned, dropped, seq);  // caches a page `assigned` drops
+  assigned = table;
+  auto copy_ref = ref;
+  auto assigned_ref = ref;
+  for (Addr p = 0; p < kPages; p += 5) {
+    const Addr base = (3 * p + 2) * kPage;
+    put(copy, copy_ref, base);
+    put(copy, copy_ref, base + kBlockSize);
+    put(assigned, assigned_ref, base + 2 * kBlockSize);
+    put(table, ref, base + 3 * kBlockSize);
+  }
+  put(copy, copy_ref, seq + kPage);
+  put(assigned, assigned_ref, seq + kPage);
+  put(table, ref, seq + kPage);
+  EXPECT_NE(copy.find(seq), table.find(seq));
+  EXPECT_NE(assigned.find(seq), table.find(seq));
+  expect_lines(table, ref);
+  expect_lines(copy, copy_ref);
+  expect_lines(assigned, assigned_ref);
+  expect_visits(table, ref);
+  expect_visits(copy, copy_ref);
+  expect_visits(assigned, assigned_ref);
+}
+
 }  // namespace
 }  // namespace steins
