@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the primitive operations the
 // simulator models: crypto, counter generation, node codecs, cache access,
-// NVM line-store sweeps and probes.
+// truth-map probes, NVM line-store sweeps and probes.
 //
 // The AES benchmarks run once per *available* backend (ref / ttable / hw),
 // pinned per-instance so one process measures every pair. Two modes:
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/backend.hpp"
@@ -142,6 +143,46 @@ void BM_MetadataCacheLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MetadataCacheLookup);
+
+// Every set is full before timing starts, so each insert evicts its set's
+// LRU node and moves one node record in and one out.
+void BM_MetadataCacheInsertEvict(benchmark::State& state) {
+  constexpr Addr kCacheBytes = 256 * 1024;
+  SetAssocCache<SitNode> cache(kCacheBytes, 8, 64);
+  Addr next = 0;
+  for (; next < kCacheBytes; next += 64) cache.insert(next, false, SitNode{});
+  SitNode node;
+  node.gc.counters[0] = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.insert(next, true, node));
+    next += 64;
+  }
+}
+BENCHMARK(BM_MetadataCacheInsertEvict);
+
+// The truth store's shape: 64 B blocks keyed by address, looked up in a
+// random order over 32k resident keys. Each lookup reads its value, as a
+// load's end-to-end check does.
+void BM_TruthMapFindRandom(benchmark::State& state) {
+  constexpr std::size_t kKeys = 32 * 1024;
+  FlatMap<Block> map;
+  Xoshiro256 rng(3);
+  std::vector<Addr> keys;
+  keys.reserve(kKeys);
+  while (keys.size() < kKeys) {
+    const Addr a = rng.below(Addr{1} << 22) * kBlockSize;
+    if (map.contains(a)) continue;
+    map.get_or_create(a)[0] = 1;
+    keys.push_back(a);
+  }
+  std::uint64_t sum = 0;
+  for (auto _ : state) {
+    for (const Addr a : keys) sum += (*map.find(a))[0];
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * keys.size()));
+}
+BENCHMARK(BM_TruthMapFindRandom);
 
 // NVM line store: an address-ordered sweep (crash resync, recovery scans)
 // against random probes over the same ~32k resident lines (about 2.8 MB of

@@ -40,7 +40,8 @@ class SetAssocCache {
     bool valid = false;
     bool dirty = false;
     std::uint64_t lru = 0;  // larger = more recently used
-    Payload payload{};
+    // Takes no bytes when Payload is Empty (tag-only CPU levels).
+    [[no_unique_address]] Payload payload{};
   };
 
   struct Evicted {
@@ -223,5 +224,7 @@ class SetAssocCache {
 struct Empty {};
 
 using TagCache = SetAssocCache<Empty>;
+// The L3 tag array alone holds 32k of these.
+static_assert(sizeof(TagCache::Line) <= 24, "a tag-only line must not pay for its payload");
 
 }  // namespace steins

@@ -10,5 +10,7 @@ namespace steins {
 
 using MetadataCache = SetAssocCache<SitNode>;
 using MetadataLine = MetadataCache::Line;
+// 4096 lines per controller at Table I's 256 KB.
+static_assert(sizeof(MetadataLine) <= 120, "a metadata line is 24 B of tag state plus one node");
 
 }  // namespace steins

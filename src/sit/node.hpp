@@ -12,10 +12,18 @@
 namespace steins {
 
 struct SitNode {
+  // Zeroing the SC view zeroes all 72 bytes, so a default node reads as
+  // zero through either view (a leaf may be flipped to split afterwards).
+  SitNode() : sc{} {}
+
   NodeId id;
   bool split = false;  // true only for SC-mode leaves
-  GeneralCounterBlock gc;
-  SplitCounterBlock sc;
+  // A node holds one counter block, so the two views share one 72-byte
+  // storage; `split` says which one is live.
+  union {
+    GeneralCounterBlock gc;
+    SplitCounterBlock sc;
+  };
 
   /// The Steins parent-counter value of this node (Eq. 1 / Eq. 2).
   std::uint64_t parent_value() const { return split ? sc.parent_value() : gc.parent_value(); }
@@ -34,6 +42,11 @@ struct SitNode {
     return split == other.split && (split ? sc == other.sc : gc == other.gc);
   }
 };
+
+static_assert(sizeof(GeneralCounterBlock) <= sizeof(SplitCounterBlock),
+              "the SC view's initializer must cover the GC view");
+// Every metadata-cache line and recovery-map entry holds one node.
+static_assert(sizeof(SitNode) <= 96, "SitNode grew past one shared counter storage");
 
 /// Extract just the stored HMAC from a node image.
 std::uint64_t node_image_hmac(const Block& image);

@@ -111,6 +111,19 @@ TEST(SitNode, SplitBlockRoundTripsThroughImage) {
   EXPECT_EQ(back.parent_value(), n.parent_value());
 }
 
+TEST(SitNode, DefaultNodeIsZeroThroughBothViews) {
+  const SitNode n;
+  EXPECT_FALSE(n.split);
+  for (const std::uint64_t c : n.gc.counters) EXPECT_EQ(c, 0u);
+  EXPECT_EQ(n.sc.major, 0u);
+  for (const std::uint8_t m : n.sc.minors) EXPECT_EQ(m, 0u);
+  EXPECT_EQ(n.parent_value(), 0u);
+  SitNode s;
+  s.split = true;
+  EXPECT_EQ(s.parent_value(), 0u);
+  EXPECT_EQ(s.to_block(0), zero_block());
+}
+
 TEST(SitNode, ParentValueDispatchesOnVariant) {
   SitNode g;
   g.gc.counters = {1, 1, 1, 1, 1, 1, 1, 1};

@@ -134,7 +134,8 @@ TEST_P(KvStoreScheme, PutGetEraseRoundTrip) {
 
   std::map<std::uint64_t, std::string> model;
   for (std::uint64_t k = 0; k < 20; ++k) {
-    const std::string v = "v" + std::to_string(k);
+    std::string v = "v";
+    v += std::to_string(k);
     kv.put(k, v);
     model[k] = v;
   }
