@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the primitive operations the
 // simulator models: crypto, counter generation, node codecs, cache access,
-// truth-map probes, NVM line-store sweeps and probes.
+// truth-map probes, NVM line-store sweeps and probes, and the ASIT/STAR
+// tracking hooks.
 //
 // The AES benchmarks run once per *available* backend (ref / ttable / hw),
 // pinned per-instance so one process measures every pair. Two modes:
@@ -35,6 +36,8 @@
 #include "crypto/otp.hpp"
 #include "crypto/siphash.hpp"
 #include "nvm/nvm_device.hpp"
+#include "schemes/anubis.hpp"
+#include "schemes/star.hpp"
 #include "sit/counter_block.hpp"
 #include "sit/node.hpp"
 
@@ -233,6 +236,50 @@ void BM_NvmDeviceSparseProbe(benchmark::State& state) {
   nvm_bench_sweep(state, lines, shuffled(lines));
 }
 BENCHMARK(BM_NvmDeviceSparseProbe);
+
+// Tracking hooks: the host cost of one on_node_modified on a full 256 KB
+// metadata cache, round-robin over every cached node. ASIT persists a
+// shadow entry and stages its image; STAR touches the node's set. Neither
+// computes the cache-tree here: a crash settles it once.
+
+// The hooks are protected scheme internals. A class derived from
+// SecureMemoryBase may name them, and the pointer it forms dispatches to
+// the scheme's override; the class is never instantiated.
+struct TrackingHook : SecureMemoryBase {
+  static void node_modified(SecureMemoryBase& mem, NodeId id, Cycle& now) {
+    (mem.*&TrackingHook::on_node_modified)(id, now);
+  }
+};
+
+template <typename Scheme>
+void bench_node_modified(benchmark::State& state) {
+  SystemConfig cfg = default_config();
+  cfg.secure.metadata_cache.size_bytes = 256 * 1024;
+  Scheme mem(cfg);
+  // One write per leaf over twice as many leaves as the cache has lines
+  // fills every line, most of them dirty.
+  Cycle now = 0;
+  const std::size_t lines = mem.metadata_cache().num_lines();
+  for (std::size_t leaf = 0; leaf < 2 * lines; ++leaf) {
+    const Addr addr = leaf * mem.geometry().leaf_coverage() * kBlockSize;
+    now = mem.write_block(addr, Block{}, now);
+  }
+  std::vector<NodeId> cached;
+  mem.metadata_cache().for_each([&](const MetadataLine& line) { cached.push_back(line.payload.id); });
+  std::size_t next = 0;
+  for (auto _ : state) {
+    TrackingHook::node_modified(mem, cached[next], now);
+    benchmark::DoNotOptimize(now);
+    if (++next == cached.size()) next = 0;
+  }
+  state.counters["cached_nodes"] = static_cast<double>(cached.size());
+}
+
+void BM_AsitNodeModified(benchmark::State& state) { bench_node_modified<AnubisMemory>(state); }
+BENCHMARK(BM_AsitNodeModified);
+
+void BM_StarNodeModified(benchmark::State& state) { bench_node_modified<StarMemory>(state); }
+BENCHMARK(BM_StarNodeModified);
 
 // ---------------------------------------------------------------------------
 // --json mode: self-timed per-backend throughput, recorded as a trajectory

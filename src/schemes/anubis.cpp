@@ -5,55 +5,20 @@
 
 namespace steins {
 
-AnubisMemory::AnubisMemory(const SystemConfig& cfg) : SecureMemoryBase(cfg) {
+AnubisMemory::AnubisMemory(const SystemConfig& cfg)
+    : SecureMemoryBase(cfg), staged_(mcache_.num_lines()), tree_(mcache_.num_lines()) {
   STEINS_CHECK(cfg.counter_mode == CounterMode::kGeneral,
                "ASIT is evaluated with general counter blocks only (paper §IV)");
   shadow_base_ = geo_.aux_base();
-  std::size_t n = mcache_.num_lines();
-  tree_.emplace_back(n, 0);
-  while (n > 1) {
-    n = (n + kTreeArity - 1) / kTreeArity;
-    tree_.emplace_back(n, 0);
-  }
-  recompute_internals();
-  root_reg_ = tree_.back()[0];
+  root_reg_ = settle_tree();
 }
 
-void AnubisMemory::recompute_internals() {
-  for (std::size_t level = 0; level + 1 < tree_.size(); ++level) {
-    for (std::size_t p = 0; p < tree_[level + 1].size(); ++p) {
-      const std::size_t first = p * kTreeArity;
-      const std::size_t n = std::min(kTreeArity, tree_[level].size() - first);
-      tree_[level + 1][p] = internal_mac(&tree_[level][first], n);
-    }
-  }
-}
-
-std::uint64_t AnubisMemory::leaf_mac(const Block& image, std::size_t line_idx) const {
+std::uint64_t AnubisMemory::leaf_mac(std::size_t line_idx) const {
   std::uint8_t buf[kBlockSize + 8];
-  std::memcpy(buf, image.data(), kBlockSize);
+  std::memcpy(buf, staged_[line_idx].data(), kBlockSize);
   const std::uint64_t idx = line_idx;
   std::memcpy(buf + kBlockSize, &idx, 8);
   return cme_.mac().mac64({buf, sizeof(buf)});
-}
-
-std::uint64_t AnubisMemory::internal_mac(const std::uint64_t* children, std::size_t n) const {
-  return cme_.mac().mac64({reinterpret_cast<const std::uint8_t*>(children), n * 8});
-}
-
-void AnubisMemory::update_tree_path(std::size_t line_idx, Cycle&) {
-  std::size_t idx = line_idx;
-  for (std::size_t level = 0; level + 1 < tree_.size(); ++level) {
-    const std::size_t parent = idx / kTreeArity;
-    const std::size_t first = parent * kTreeArity;
-    const std::size_t n = std::min(kTreeArity, tree_[level].size() - first);
-    tree_[level + 1][parent] = internal_mac(&tree_[level][first], n);
-    // Sequential HMACs up the cache-tree (paper §II-D): modification-path
-    // cost, charged to the write-latency side channel.
-    charge_tracking(cfg_.secure.hash_latency_cycles, /*is_hash=*/true);
-    idx = parent;
-  }
-  root_reg_ = tree_.back()[0];
 }
 
 void AnubisMemory::on_node_modified(NodeId id, Cycle& now) {
@@ -72,18 +37,23 @@ void AnubisMemory::on_node_modified(NodeId id, Cycle& now) {
   if (!recovering_) charge_tracking(cfg_.nvm_write_cycles());
   ++stats_.aux_writes;
 
-  tree_[0][static_cast<std::size_t>(line_idx)] =
-      leaf_mac(image, static_cast<std::size_t>(line_idx));
-  charge_tracking(cfg_.secure.hash_latency_cycles, /*is_hash=*/true);
-  update_tree_path(static_cast<std::size_t>(line_idx), now);
+  // The leaf MAC and the sequential HMACs up the cache-tree (paper §II-D):
+  // modification-path cost, charged to the write-latency side channel.
+  // The host computes them once, when the root is latched.
+  staged_[static_cast<std::size_t>(line_idx)] = image;
+  tree_.touch(static_cast<std::size_t>(line_idx));
+  for (unsigned level = 0; level < tree_.depth(); ++level) {
+    charge_tracking(cfg_.secure.hash_latency_cycles, /*is_hash=*/true);
+  }
 }
 
 void AnubisMemory::crash() {
+  // The root register holds the root as of the last modification; a crash
+  // with none since the last one (or since recovery) leaves it as it is.
+  if (!tree_.settled()) root_reg_ = settle_tree();
   SecureMemoryBase::crash();
   // The cache-tree body is volatile; only the root register survives.
-  for (auto& level : tree_) {
-    for (auto& m : level) m = 0;
-  }
+  tree_.clear();
 }
 
 RecoveryReport AnubisMemory::recover() {
@@ -108,15 +78,15 @@ void AnubisMemory::recover_impl(RecoveryReport& result) {
   const std::size_t lines = mcache_.num_lines();
   bool ecc_evidence = false;
 
-  // Pass 1: read every shadow entry (image and identity tag in one probe),
-  // rebuild the cache-tree, compare roots.
-  std::vector<Block> images(lines);
+  // Pass 1: read every shadow entry (image and identity tag in one probe)
+  // into its line's staging slot, rebuild the cache-tree over the present
+  // ones, compare roots. Absent and dead entries stay untouched leaves (0).
   std::vector<std::uint64_t> tags(lines, 0);
   std::vector<bool> present(lines, false);
   for (std::size_t i = 0; i < lines; ++i) {
     ++recovery_reads_;
     bool dead = false;
-    if (!dev_.peek_resident(shadow_addr(i), &images[i], &tags[i], &dead)) continue;
+    if (!dev_.peek_resident(shadow_addr(i), &staged_[i], &tags[i], &dead)) continue;
     if (dead) {
       // The entry's latest node image is gone. Its identity survives in the
       // ECC-colocated tag: quarantine the data the lost node covered and
@@ -130,10 +100,13 @@ void AnubisMemory::recover_impl(RecoveryReport& result) {
       continue;
     }
     present[i] = true;
-    tree_[0][i] = leaf_mac(images[i], i);
   }
-  recompute_internals();
-  if (tree_.back()[0] != root_reg_) {
+  // Touch only after the scan: a nested crash inside it (a quarantine
+  // persist) must find the tree settled, so the register stays as it is.
+  for (std::size_t i = 0; i < lines; ++i) {
+    if (present[i]) tree_.touch(i);
+  }
+  if (settle_tree() != root_reg_) {
     if (!ecc_evidence) {
       result.attack_detected = true;
       result.attack_detail = "ASIT cache-tree root mismatch: shadow table corrupted";
@@ -153,7 +126,7 @@ void AnubisMemory::recover_impl(RecoveryReport& result) {
     if (!present[i]) continue;
     NodeId id;
     if (!decode_id(tags[i], &id)) continue;
-    SitNode node = SitNode::from_block(id, false, images[i]);
+    SitNode node = SitNode::from_block(id, false, staged_[i]);
     const std::uint64_t key = encode_id(id);
     if (SitNode* existing = latest.find(key)) {
       if (node.parent_value() > existing->parent_value()) *existing = node;

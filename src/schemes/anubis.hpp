@@ -4,14 +4,17 @@
 // Every modification of a cached metadata node is persisted to a Shadow
 // Table (ST) in NVM — one 64 B entry per metadata-cache line — doubling the
 // write traffic. A cache-tree (Merkle tree over the ST entries) is
-// maintained on-chip: each modification updates the leaf MAC and the tree
-// path (sequential HMACs), and the tree root lives in a non-volatile
-// register. Recovery replays the ST into the metadata cache, verifies the
-// rebuilt cache-tree root against the register, and flushes the tree clean.
+// maintained on-chip and its root lives in a non-volatile register. Each
+// modification is charged the leaf MAC and the sequential HMACs up the tree
+// path; the host stages the entry's image on-chip and computes the root
+// once, when the crash latches it into the register (secure/cache_tree.hpp).
+// Recovery replays the ST into the metadata cache, verifies the rebuilt
+// cache-tree root against the register, and flushes the tree clean.
 #pragma once
 
 #include <vector>
 
+#include "secure/cache_tree.hpp"
 #include "secure/secure_memory.hpp"
 
 namespace steins {
@@ -24,7 +27,7 @@ class AnubisMemory final : public SecureMemoryBase {
   RecoveryResult recover() override;
 
   /// Depth (number of MAC recomputations per modification).
-  unsigned cache_tree_depth() const { return static_cast<unsigned>(tree_.size()); }
+  unsigned cache_tree_depth() const { return tree_.depth(); }
 
  protected:
   Cycle persist_node(SitNode& node, Cycle now) override {
@@ -46,21 +49,20 @@ class AnubisMemory final : public SecureMemoryBase {
     return true;
   }
 
-  std::uint64_t leaf_mac(const Block& image, std::size_t line_idx) const;
-  std::uint64_t internal_mac(const std::uint64_t* children, std::size_t n) const;
-
-  /// Update the cache-tree path above leaf `line_idx` (charges hashes).
-  void update_tree_path(std::size_t line_idx, Cycle& now);
-
-  /// Recompute every internal cache-tree level from the current leaf MACs.
-  void recompute_internals();
+  /// Leaf MAC of line `line_idx`: MAC(staged image || line_idx).
+  std::uint64_t leaf_mac(std::size_t line_idx) const;
+  std::uint64_t settle_tree() {
+    return tree_.settle(cme_.mac(), [this](std::size_t i) { return leaf_mac(i); });
+  }
 
   /// Recovery body; recover() wraps it so every exit yields a report.
   void recover_impl(RecoveryReport& result);
 
   Addr shadow_base_;
-  // tree_[0] = leaf MACs (one per cache line), tree_.back() = root (size 1).
-  std::vector<std::vector<std::uint64_t>> tree_;
+  /// The image each line's latest shadow entry was written with, kept
+  /// on-chip: the leaf MAC covers what was written, never what NVM holds.
+  std::vector<Block> staged_;
+  CacheTree tree_;              // leaves = metadata-cache lines
   std::uint64_t root_reg_ = 0;  // on-chip NV register holding the tree root
 };
 

@@ -25,36 +25,19 @@ std::array<std::uint64_t, 8> decode_bitmap(const Block& b) {
 StarMemory::StarMemory(const SystemConfig& cfg)
     : SecureMemoryBase(cfg),
       bitmap_cache_(cfg.secure.record_lines_cached * kBlockSize,
-                    static_cast<unsigned>(cfg.secure.record_lines_cached)) {
+                    static_cast<unsigned>(cfg.secure.record_lines_cached)),
+      tree_(mcache_.num_sets()) {
   STEINS_CHECK(cfg.counter_mode == CounterMode::kGeneral,
                "STAR is evaluated with general counter blocks only (paper §IV)");
   bitmap_base_ = geo_.aux_base();
   bitmap_lines_ = (geo_.total_nodes() + kNodesPerBitmapLine - 1) / kNodesPerBitmapLine;
   nonzero_lines_.assign((bitmap_lines_ + 63) / 64, 0);
-
-  // Cache-tree over set-MACs.
-  std::size_t n = mcache_.num_sets();
-  tree_.emplace_back(n, 0);
-  while (n > 1) {
-    n = (n + kTreeArity - 1) / kTreeArity;
-    tree_.emplace_back(n, 0);
-  }
-  rebuild_tree();
-  root_reg_ = tree_.back()[0];
+  root_reg_ = rebuild_tree();
 }
 
-void StarMemory::rebuild_tree() {
-  for (std::size_t set = 0; set < tree_[0].size(); ++set) {
-    tree_[0][set] = compute_set_mac(set);
-  }
-  for (std::size_t level = 0; level + 1 < tree_.size(); ++level) {
-    for (std::size_t p = 0; p < tree_[level + 1].size(); ++p) {
-      const std::size_t first = p * kTreeArity;
-      const std::size_t n = std::min(kTreeArity, tree_[level].size() - first);
-      tree_[level + 1][p] =
-          cme_.mac().mac64({reinterpret_cast<const std::uint8_t*>(&tree_[level][first]), n * 8});
-    }
-  }
+std::uint64_t StarMemory::rebuild_tree() {
+  for (std::size_t set = 0; set < tree_.leaves(); ++set) tree_.touch(set);
+  return settle_tree();
 }
 
 std::uint64_t StarMemory::reconstruct_counter(std::uint64_t stale, std::uint64_t lsbs) {
@@ -94,9 +77,9 @@ void StarMemory::update_bitmap(NodeId id, bool dirty, Cycle& now) {
 std::uint64_t StarMemory::compute_set_mac(std::size_t set) const {
   // MAC over the set's dirty nodes, sorted by address (paper §II-D: "STAR
   // needs to sort the dirty nodes in the same set by the addresses").
-  // Runs on every node-modification, so everything stays on the stack: a
-  // set has at most `ways` dirty nodes and insertion sort beats std::sort
-  // at that size.
+  // Runs once per touched set at every settle, so everything stays on the
+  // stack: a set has at most `ways` dirty nodes and insertion sort beats
+  // std::sort at that size.
   struct Entry {
     Addr addr;
     NodePayload payload;
@@ -124,20 +107,12 @@ std::uint64_t StarMemory::compute_set_mac(std::size_t set) const {
 void StarMemory::update_set_mac(std::size_t set, Cycle&) {
   // Sorting the set's dirty nodes plus the sequential cache-tree HMACs:
   // modification-path costs, charged to the write-latency side channel.
+  // The host computes them once, when the root is latched.
   charge_tracking(mcache_.ways());
-  tree_[0][set] = compute_set_mac(set);
-  charge_tracking(cfg_.secure.hash_latency_cycles, /*is_hash=*/true);
-  std::size_t idx = set;
-  for (std::size_t level = 0; level + 1 < tree_.size(); ++level) {
-    const std::size_t parent = idx / kTreeArity;
-    const std::size_t first = parent * kTreeArity;
-    const std::size_t n = std::min(kTreeArity, tree_[level].size() - first);
-    tree_[level + 1][parent] =
-        cme_.mac().mac64({reinterpret_cast<const std::uint8_t*>(&tree_[level][first]), n * 8});
+  for (unsigned level = 0; level < tree_.depth(); ++level) {
     charge_tracking(cfg_.secure.hash_latency_cycles, /*is_hash=*/true);
-    idx = parent;
   }
-  root_reg_ = tree_.back()[0];
+  tree_.touch(set);
 }
 
 Cycle StarMemory::persist_node(SitNode& node, Cycle now) {
@@ -177,6 +152,9 @@ void StarMemory::on_data_written(Addr addr, std::uint64_t counter, Cycle&) {
 }
 
 void StarMemory::crash() {
+  // Latch the root over the dirty sets before the cache is lost; a crash
+  // with no modification since the last one leaves the register as it is.
+  if (!tree_.settled()) root_reg_ = settle_tree();
   // Drain the write queue first: a queued (older) bitmap-line write must
   // not overwrite the newer ADR-resident copy flushed below.
   SecureMemoryBase::crash();
@@ -185,9 +163,7 @@ void StarMemory::crash() {
     if (line.dirty) dev_.poke_block(line.tag, encode_bitmap(line.payload.bits));
   });
   bitmap_cache_.clear();
-  for (auto& level : tree_) {
-    for (auto& m : level) m = 0;
-  }
+  tree_.clear();
 }
 
 RecoveryResult StarMemory::recover() {
@@ -299,8 +275,8 @@ void StarMemory::recover_impl(RecoveryReport& result) {
   // non-volatile root register. With ECC losses in the walk the recovered
   // dirty set provably differs from the pre-crash one (quarantined nodes
   // are missing), so a mismatch is degradation, not an attack verdict.
-  rebuild_tree();
-  if (tree_.back()[0] != root_reg_) {
+  const std::uint64_t root = rebuild_tree();
+  if (root != root_reg_) {
     if (!ecc_evidence) {
       result.attack_detected = true;
       result.attack_detail = "STAR cache-tree root mismatch: recovered dirty set corrupted";
@@ -308,7 +284,7 @@ void StarMemory::recover_impl(RecoveryReport& result) {
     }
     result.tracking_degraded = true;
   }
-  root_reg_ = tree_.back()[0];
+  root_reg_ = root;
 }
 
 }  // namespace steins

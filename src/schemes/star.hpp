@@ -9,15 +9,17 @@
 //    is updated on BOTH clean->dirty and dirty->clean transitions through a
 //    small ADR-resident line cache (worse locality and twice the update
 //    rate of Steins' offset records).
-//  * A cache-tree over the dirty nodes of each metadata-cache set: on every
-//    modification the set's dirty nodes are sorted by address and MAC'd
-//    (the set-MAC), and the tree above the set-MACs is updated; the root
-//    lives in a non-volatile register.
+//  * A cache-tree over the dirty nodes of each metadata-cache set: every
+//    modification is charged sorting the set's dirty nodes by address, their
+//    MAC (the set-MAC) and the HMACs up the tree; the root lives in a
+//    non-volatile register. The host computes the set-MACs and the root
+//    once, when the crash latches it (secure/cache_tree.hpp).
 #pragma once
 
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "secure/cache_tree.hpp"
 #include "secure/secure_memory.hpp"
 
 namespace steins {
@@ -31,6 +33,9 @@ class StarMemory final : public SecureMemoryBase {
 
   /// How many parent-counter LSBs each child carries.
   static constexpr unsigned kLsbBits = 16;
+
+  /// Depth (number of MAC recomputations per modification).
+  unsigned cache_tree_depth() const { return tree_.depth(); }
 
  protected:
   Cycle persist_node(SitNode& node, Cycle now) override;
@@ -54,13 +59,16 @@ class StarMemory final : public SecureMemoryBase {
   /// bitmap line cache (may read/write NVM on a miss).
   void update_bitmap(NodeId id, bool dirty, Cycle& now);
 
-  /// Recompute the set-MAC of metadata-cache set `set` and the cache-tree
-  /// path above it.
+  /// Set `set`'s dirty nodes changed: charge the sort, the set-MAC and the
+  /// cache-tree path, and touch the set's leaf.
   void update_set_mac(std::size_t set, Cycle& now);
   std::uint64_t compute_set_mac(std::size_t set) const;
+  std::uint64_t settle_tree() {
+    return tree_.settle(cme_.mac(), [this](std::size_t set) { return compute_set_mac(set); });
+  }
 
-  /// Recompute every set-MAC and internal level from the current cache.
-  void rebuild_tree();
+  /// Touch every set (an empty set hashes the empty message) and settle.
+  std::uint64_t rebuild_tree();
 
   /// Splice stored LSBs onto a stale counter, adding carry if needed.
   static std::uint64_t reconstruct_counter(std::uint64_t stale, std::uint64_t lsbs);
@@ -76,8 +84,7 @@ class StarMemory final : public SecureMemoryBase {
   /// word OR; recovery scans it in ascending line order.
   std::vector<std::uint64_t> nonzero_lines_;
 
-  // Cache-tree: set_macs_ then internal levels up to the root register.
-  std::vector<std::vector<std::uint64_t>> tree_;
+  CacheTree tree_;  // leaves = set-MACs, one per metadata-cache set
   std::uint64_t root_reg_ = 0;
 };
 

@@ -190,6 +190,30 @@ TEST(AnubisAttacks, TamperedShadowEntryDetected) {
   EXPECT_NE(r.attack_detail.find("root"), std::string::npos) << r.attack_detail;
 }
 
+TEST(AnubisAttacks, ShadowTamperBeforeCrashDetected) {
+  // The leaf MACs cover the images ASIT wrote, staged on-chip, never what
+  // NVM holds when the crash latches the root: a shadow entry tampered
+  // after its modification but before the crash still breaks the root.
+  AnubisMemory mem(small_config(CounterMode::kGeneral));
+  Driver d(mem);
+  d.write_random(1500, 100'000);
+  mem.channel().drain_all(d.now());  // every shadow write has landed
+  AttackInjector attacker(mem);
+  const Addr base = mem.geometry().aux_base();
+  bool tampered = false;
+  for (std::size_t i = 0; i < mem.metadata_cache().num_lines() && !tampered; ++i) {
+    if (mem.device().contains(base + i * kBlockSize)) {
+      attacker.tamper_block(base + i * kBlockSize, 8);
+      tampered = true;
+    }
+  }
+  ASSERT_TRUE(tampered);
+  mem.crash();
+  const RecoveryResult r = mem.recover();
+  EXPECT_TRUE(r.attack_detected);
+  EXPECT_NE(r.attack_detail.find("root"), std::string::npos) << r.attack_detail;
+}
+
 TEST(StarAttacks, ForgedBitmapDetected) {
   StarMemory mem(small_config(CounterMode::kGeneral));
   Driver d(mem);

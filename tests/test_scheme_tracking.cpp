@@ -35,6 +35,43 @@ TEST(AnubisTracking, CacheTreeDepthMatchesCacheSize) {
   EXPECT_EQ(mem.cache_tree_depth(), 5u);
 }
 
+TEST(StarTracking, CacheTreeDepthMatchesSetCount) {
+  // 256 KB cache = 4096 lines in 8-way sets -> 512 set-MACs, 64, 8, 1.
+  StarMemory mem(small_config(CounterMode::kGeneral, 256 * 1024));
+  ASSERT_EQ(mem.metadata_cache().num_sets(), 512u);
+  EXPECT_EQ(mem.cache_tree_depth(), 4u);
+}
+
+/// A second power loss before recovery ran must leave the root register
+/// as the first one latched it: the lost tree body has nothing to settle.
+template <typename Scheme>
+void crash_crash_recover_detects_no_attack() {
+  Scheme mem(small_config(CounterMode::kGeneral));
+  Driver d(mem);
+  d.write_random(1500, 100'000);
+  mem.crash();
+  mem.crash();
+  RecoveryResult r = mem.recover();
+  EXPECT_FALSE(r.attack_detected) << r.attack_detail;
+  EXPECT_TRUE(r.ok()) << r.summary();
+  EXPECT_TRUE(d.check_all());
+  // And again after recovery modified the tree: the next crash latches it.
+  d.write_random(500, 100'000);
+  mem.crash();
+  mem.crash();
+  r = mem.recover();
+  EXPECT_FALSE(r.attack_detected) << r.attack_detail;
+  EXPECT_TRUE(d.check_all());
+}
+
+TEST(AnubisTracking, CrashCrashRecoverDetectsNoAttack) {
+  crash_crash_recover_detects_no_attack<AnubisMemory>();
+}
+
+TEST(StarTracking, CrashCrashRecoverDetectsNoAttack) {
+  crash_crash_recover_detects_no_attack<StarMemory>();
+}
+
 TEST(StarTracking, BitmapEqualsDirtySetAtCrash) {
   StarMemory mem(small_config(CounterMode::kGeneral));
   Driver d(mem);
